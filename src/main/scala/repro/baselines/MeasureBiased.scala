@@ -1,9 +1,9 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
-import repro.core.{Boundaries, IslaParams, Moments, PreEstimation, Region}
+import repro.core.{Boundaries, IslaParams, Moments, PreEstimation, Region, SampleAgg}
 
 /** The measure-biased comparators of §VIII-C, re-implemented from the
   * paper's definitions (the sample+seek originals are closed source).
@@ -27,13 +27,9 @@ object MeasureBiased {
   def runMV(df: DataFrame, valueCol: String, rate: Double,
             blockCol: String = "block", seed: Long = 17L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val v = col(valueCol).cast("double")
-    val rows = df.where(rand(seed) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(sum(v).as("s"), sum(v * v).as("s2"), count(v).as("n"))
-      .collect()
-      .map(r => (r.getLong(0), r.getDouble(1), r.getDouble(2), r.getLong(3)))
-      .sortBy(_._1)
+    val rows = SampleAgg.run(df, col(blockCol), col(valueCol), "MV", seed, _ => rate)
+      .toSeq.sortBy(_._1)
+      .collect { case (b, s) if s.n > 0 => (b, s.all.sum, s.all.sum2, s.all.n) }
     require(rows.nonEmpty, "MV sample came back empty")
     val partials = rows.map { case (b, s, s2, _) => (b, if (s == 0) 0.0 else s2 / s) }.toSeq
     val totalN = rows.map(_._4).sum
@@ -59,28 +55,13 @@ object MeasureBiased {
     val pre = PreEstimation.run(df, valueCol, m, p, seed)
     val bounds = Boundaries(pre.sketch0, pre.sigma, p.p1, p.p2)
 
-    val v = col(valueCol).cast("double")
-    val rows = df.where(rand(seed + 2) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"), bounds.regionCol(v).as("region"))
-      .agg(count(v).as("n"), sum(v).as("s"), sum(v * v).as("s2"))
-      .collect()
-      .map(r => (r.getLong(0), r.getString(1), r.getLong(2), r.getDouble(3), r.getDouble(4)))
-
-    val byBlock = rows.groupBy(_._1)
-    val partials = byBlock.keys.toSeq.sorted.map { b =>
-      val regs = byBlock(b)
-      val mB = regs.map(_._3).sum.toDouble
-      // Σ_reg (n_reg/m)·(Σa²/Σa); an all-zero region contributes nothing.
-      val est = regs.map { case (_, _, n, s, s2) =>
-        if (s == 0) 0.0 else (n / mB) * (s2 / s)
-      }.sum
-      (b, est)
+    val blocks = SampleAgg.run(df, col(blockCol), col(valueCol), "MVB", seed + 2, _ => rate, _ => Some(bounds))
+      .toSeq.sortBy(_._1).filter(_._2.n > 0)
+    // Per block Σ_reg (n_reg/m)·(Σa²/Σa); an all-zero region contributes nothing.
+    val partials = blocks.map { case (b, s) =>
+      b -> s.regions.map(r => if (r.sum == 0) 0.0 else (r.n / s.n.toDouble) * (r.sum2 / r.sum)).sum
     }
-    val totalN = rows.map(_._3).sum.toDouble
-    val answer = byBlock.keys.toSeq.sorted.map { b =>
-      val nB = byBlock(b).map(_._3).sum
-      partials.find(_._1 == b).get._2 * nB
-    }.sum / totalN
+    val answer = blocks.zip(partials).map { case ((_, s), (_, est)) => est * s.n }.sum / blocks.map(_._2.n).sum
     BaselineResult(answer, partials)
   }
 

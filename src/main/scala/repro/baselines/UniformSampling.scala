@@ -1,9 +1,9 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
-import repro.core.Moments
+import repro.core.{Moments, SampleAgg}
 
 /** Result of a baseline estimator: the final answer and the per-block
   * partial answers (Table IV reports partials for the comparators too).
@@ -20,13 +20,9 @@ object UniformSampling {
   def run(df: DataFrame, valueCol: String, rate: Double,
           blockCol: String = "block", seed: Long = 11L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val v = col(valueCol).cast("double")
-    val rows = df.where(rand(seed) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(sum(v).as("s"), count(v).as("n"))
-      .collect()
-      .map(r => (r.getLong(0), r.getDouble(1), r.getLong(2)))
-      .sortBy(_._1)
+    val rows = SampleAgg.run(df, col(blockCol), col(valueCol), "US", seed, _ => rate)
+      .toSeq.sortBy(_._1)
+      .collect { case (b, s) if s.n > 0 => (b, s.all.sum, s.all.n) }
     val totalSum = rows.map(_._2).sum
     val totalN = rows.map(_._3).sum
     require(totalN > 0, "uniform sample came back empty — rate too small for this data size")
@@ -49,13 +45,8 @@ object StratifiedSampling {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
     val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
     val m = blockSizes.values.sum
-    val v = col(valueCol).cast("double")
-    val means = df.where(rand(seed) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(avg(v).as("m"))
-      .collect()
-      .map(r => r.getLong(0) -> r.getDouble(1))
-      .toMap
+    val means = SampleAgg.run(df, col(blockCol), col(valueCol), "STS", seed, _ => rate)
+      .collect { case (b, s) if s.n > 0 => b -> s.avg }
     val partials = blockSizes.keys.toSeq.sorted.map { b =>
       // A stratum whose sample is empty contributes its size with the
       // overall sampled mean (no information → no correction).

@@ -1,17 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** The five data regions of §IV-A1 (Fig. 3). */
-sealed abstract class Region(val name: String)
+sealed abstract class Region(val name: String, val index: Int)
 object Region {
-  case object TS extends Region("TS") // too small — discarded outlier
-  case object S  extends Region("S")  // small — participates, leverage 1−h
-  case object N  extends Region("N")  // normal — discarded (middle mass)
-  case object L  extends Region("L")  // large — participates, leverage h
-  case object TL extends Region("TL") // too large — discarded outlier
-  val all: Seq[Region] = Seq(TS, S, N, L, TL)
+  case object TS extends Region("TS", 0) // too small — discarded outlier
+  case object S  extends Region("S", 1)  // small — participates, leverage 1−h
+  case object N  extends Region("N", 2)  // normal — discarded (middle mass)
+  case object L  extends Region("L", 3)  // large — participates, leverage h
+  case object TL extends Region("TL", 4) // too large — discarded outlier
+  val all: Seq[Region] = Seq(TS, S, N, L, TL) // in index order
 }
 
 /** Data boundaries (§IV-A1): `sketch₀ ± p₁σ` and `sketch₀ ± p₂σ` divide
@@ -22,9 +19,6 @@ object Region {
   *  - N : [sketch₀ − p₁σ, sketch₀ + p₁σ]
   *  - L : (sketch₀ + p₁σ, sketch₀ + p₂σ)
   *  - TL: [sketch₀ + p₂σ, +∞)
-  *
-  * Provides both a scalar classifier (driver-side math, tests) and a
-  * Catalyst [[Column]] classifier (the distributed sampling phase).
   */
 final case class Boundaries(sketch0: Double, sigma: Double, p1: Double, p2: Double) {
   require(sigma >= 0, s"sigma must be non-negative: $sigma")
@@ -48,18 +42,4 @@ final case class Boundaries(sketch0: Double, sigma: Double, p1: Double, p2: Doub
 
   /** True iff `a` lies in the L region (strictly between hi1 and hi2). */
   def isL(a: Double): Boolean = a > hi1 && a < hi2
-
-  /** Catalyst predicate: `col` falls in the S region. */
-  def isSCol(col: Column): Column = col > lo2 && col < lo1
-
-  /** Catalyst predicate: `col` falls in the L region. */
-  def isLCol(col: Column): Column = col > hi1 && col < hi2
-
-  /** Catalyst expression yielding the region name ("TS".."TL") of `col`. */
-  def regionCol(col: Column): Column =
-    when(col <= lo2, Region.TS.name)
-      .when(col < lo1, Region.S.name)
-      .when(col <= hi1, Region.N.name)
-      .when(col < hi2, Region.L.name)
-      .otherwise(Region.TL.name)
 }

@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
 /** Per-block pre-estimates for the non-i.i.d. extension. */
 final case class BlockPre(block: Long, size: Long, sigma: Double, sketch0: Double, pilotMin: Double)
@@ -16,8 +16,9 @@ final case class BlockPre(block: Long, size: Long, sigma: Double, sketch0: Doubl
   *    are sampled more (inspired by bi-level sampling [1]);
   *  - the overall rate r comes from Eq. 1 with the pooled pilot σ.
   *
-  * All per-block constants (rates, boundaries) are folded into Catalyst
-  * `when`-chains so the sampling phase remains one Spark aggregation.
+  * Per-block rates and boundaries are plain driver-side maps that the
+  * [[SampleAgg]] kernel looks up once per block and partition, so the
+  * sampling phase remains one Spark job.
   */
 object IslaNonIid {
 
@@ -32,37 +33,20 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): Seq[BlockPre] = {
-    val v = col(valueCol).cast("double")
-    val pilotRateCol = perBlockColumn(sizes.map { case (b, n) =>
-      b -> math.min(1.0, p.sigmaPilot.toDouble / n)
-    }, blockCol)
-    val pilot = df.where(rand(seed) < pilotRateCol)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(stddev_samp(v).as("sd"), avg(v).as("av"), min(v).as("mn"))
-      .collect()
-      .map(r => r.getLong(0) -> (
-        (if (r.isNullAt(1)) 0.0 else r.getDouble(1)),
-        (if (r.isNullAt(2)) 0.0 else r.getDouble(2)),
-        (if (r.isNullAt(3)) 0.0 else r.getDouble(3))))
-      .toMap
+    def pass(label: String, seed: Long, rates: Map[Long, Double]): Map[Long, BlockSample] =
+      SampleAgg.run(df, col(blockCol), col(valueCol), label, seed, rates.getOrElse(_, 0.0))
+    val pilotRates = sizes.map { case (b, n) => b -> math.min(1.0, p.sigmaPilot.toDouble / n) }
+    val pilot = pass("ISLA non-i.i.d. σ pilot", seed, pilotRates)
 
-    val sketchRateCol = perBlockColumn(sizes.map { case (b, n) =>
-      val sd = pilot.get(b).map(_._1).getOrElse(0.0)
-      val r = if (sd <= 0) math.min(1.0, p.sigmaPilot.toDouble / n)
-              else SampleSize.samplingRate(sd, p.te * p.e, p.beta, n)
-      b -> r
-    }, blockCol)
-    val sketch = df.where(rand(seed + 1) < sketchRateCol)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(avg(v).as("sk"))
-      .collect()
-      .map(r => r.getLong(0) -> (if (r.isNullAt(1)) Double.NaN else r.getDouble(1)))
-      .toMap
+    val sketch = pass("ISLA non-i.i.d. sketch₀", seed + 1, sizes.map { case (b, n) =>
+      val sd = pilot.get(b).fold(0.0)(_.sd)
+      b -> (if (sd <= 0) pilotRates(b) else SampleSize.samplingRate(sd, p.te * p.e, p.beta, n))
+    })
 
     sizes.keys.toSeq.sorted.map { b =>
-      val (sd, av, mn) = pilot.getOrElse(b, (0.0, 0.0, 0.0))
-      val sk = sketch.get(b).filterNot(_.isNaN).getOrElse(av)
-      BlockPre(b, sizes(b), math.max(sd, 0.0), sk, mn)
+      val pl = pilot.getOrElse(b, new BlockSample(1))
+      val sk = sketch.get(b).filter(_.n > 0).fold(pl.avg)(_.avg)
+      BlockPre(b, sizes(b), pl.sd, sk, pl.min)
     }
   }
 
@@ -92,7 +76,6 @@ object IslaNonIid {
     val minSeen = pres.map(_.pilotMin).min
     val maxSigma = math.max(pres.map(_.sigma).max, 1.0)
     val shift = if (minSeen <= 0) -minSeen + maxSigma else 0.0
-    val v = col(valueCol).cast("double") + lit(shift)
 
     // Overall rate from the pooled dispersion (upper bound of block σs is a
     // faithful stand-in for the pooled pilot σ — it only scales r).
@@ -104,57 +87,15 @@ object IslaNonIid {
       SampleSize.samplingRate(pooledSigma, p.e, p.beta, m) * p.rateFraction)
 
     val blev = blockLeverages(pres)
-    val rateCol = perBlockColumn(blockSizes.map { case (b, n) =>
-      b -> math.min(1.0, r * m * blev(b) / n)
-    }, blockCol)
-
-    // Per-block boundaries as when-chain columns over the shifted value.
+    val rates = blockSizes.map { case (b, n) => b -> math.min(1.0, r * m * blev(b) / n) }
     val boundsByBlock = pres.map { pr =>
       pr.block -> Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2)
     }.toMap
-    val lo2 = perBlockColumn(boundsByBlock.map { case (b, bd) => b -> bd.lo2 }, blockCol)
-    val lo1 = perBlockColumn(boundsByBlock.map { case (b, bd) => b -> bd.lo1 }, blockCol)
-    val hi1 = perBlockColumn(boundsByBlock.map { case (b, bd) => b -> bd.hi1 }, blockCol)
-    val hi2 = perBlockColumn(boundsByBlock.map { case (b, bd) => b -> bd.hi2 }, blockCol)
-    val inS = v > lo2 && v < lo1
-    val inL = v > hi1 && v < hi2
-
-    val zeroL = lit(0L); val zeroD = lit(0.0)
-    val rows = df
-      .where(rand(seed + 2) < rateCol)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(
-        sum(when(inS, 1L).otherwise(zeroL)).as("s_n"),
-        sum(when(inS, v).otherwise(zeroD)).as("s_sum"),
-        sum(when(inS, v * v).otherwise(zeroD)).as("s_sum2"),
-        sum(when(inS, v * v * v).otherwise(zeroD)).as("s_sum3"),
-        sum(when(inL, 1L).otherwise(zeroL)).as("l_n"),
-        sum(when(inL, v).otherwise(zeroD)).as("l_sum"),
-        sum(when(inL, v * v).otherwise(zeroD)).as("l_sum2"),
-        sum(when(inL, v * v * v).otherwise(zeroD)).as("l_sum3"),
-      )
-      .collect()
-      .map { row =>
-        val b = row.getLong(0)
-        b -> BlockMoments(b, blockSizes(b),
-          RegionMoments(row.getLong(1), row.getDouble(2), row.getDouble(3), row.getDouble(4)),
-          RegionMoments(row.getLong(5), row.getDouble(6), row.getDouble(7), row.getDouble(8)))
-      }.toMap
-
-    val blocks = blockSizes.keys.toSeq.sorted.map { b =>
-      val bm = rows.getOrElse(b, BlockMoments(b, blockSizes(b), RegionMoments.empty, RegionMoments.empty))
-      Modulation.solveBlock(bm, boundsByBlock(b).sketch0, p)
-    }
+    val samples = SampleAgg.run(df, col(blockCol), col(valueCol), "ISLA non-i.i.d. moments", seed + 2,
+      rates.getOrElse(_, 0.0), boundsByBlock.get, shift)
+    val blocks = Moments.of(samples, blockSizes).map(bm =>
+      Modulation.solveBlock(bm, boundsByBlock(bm.block).sketch0, p))
     val answer = Isla.summarize(blocks) - shift
     IslaResult(answer, Double.NaN, pooledSigma, r, m, shift, blocks)
-  }
-
-  /** A `when`-chain Column mapping block id → per-block constant. */
-  private[core] def perBlockColumn(values: Map[Long, Double], blockCol: String): Column = {
-    require(values.nonEmpty, "no blocks")
-    val sorted = values.toSeq.sortBy(_._1)
-    sorted.tail.foldLeft(when(col(blockCol) === sorted.head._1, sorted.head._2)) {
-      case (acc, (b, x)) => acc.when(col(blockCol) === b, x)
-    }.otherwise(lit(0.0))
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, lit}
 
 /** Running moments of one region's samples — the whole per-region state of
   * Algorithm 1: `param = {counter, sum, squareSum, cubeSum}`.
@@ -30,24 +30,22 @@ object RegionMoments {
 /** Per-block output of the sampling phase: block size plus S and L moments. */
 final case class BlockMoments(block: Long, blockSize: Long, s: RegionMoments, l: RegionMoments)
 
-/** Algorithm 1 (sampling phase) as a single Spark aggregation.
+/** Algorithm 1 (sampling phase) as one [[SampleAgg]] pass.
   *
-  * Samples are drawn per block by a Bernoulli filter `rand(seed) < r`
-  * (the distributed equivalent of drawing `m = r·|Bⱼ|` uniform samples),
-  * classified by the [[Boundaries]], and folded into the S/L moments with
-  * a conditional aggregate — no sample is ever materialized, matching the
-  * paper's "drop a" (Algorithm 1, line 12).
+  * Samples are drawn per block by a Bernoulli draw at rate r (the
+  * distributed equivalent of drawing `m = r·|Bⱼ|` uniform samples),
+  * classified by the [[Boundaries]], and folded into the S/L moments —
+  * no sample is ever materialized, matching the paper's "drop a"
+  * (Algorithm 1, line 12).
   */
 object Moments {
 
-  /** Exact block sizes `|Bⱼ|` (the paper reads these from metadata;
-    * one count pass stands in for the metadata lookup).
+  /** Exact block sizes `|Bⱼ|`, null values included (the paper reads these
+    * from metadata; one counting pass stands in for the metadata lookup).
     */
   def blockSizes(df: DataFrame, blockCol: String = "block"): Map[Long, Long] =
-    df.groupBy(col(blockCol)).count()
-      .collect()
-      .map(r => r.getLong(0) -> r.getLong(1))
-      .toMap
+    SampleAgg.run(df, col(blockCol), lit(0.0), "ISLA block sizes", seed = 0L, rate = _ => 0.0)
+      .map { case (b, s) => b -> s.rows }
 
   /** Run the sampling phase over every block in one Spark job.
     *
@@ -69,39 +67,18 @@ object Moments {
       seed: Long = 42L,
   ): Seq[BlockMoments] = {
     require(rate > 0 && rate <= 1, s"sampling rate must be in (0,1]: $rate")
-    val v = col(valueCol).cast("double")
-    val inS = bounds.isSCol(v)
-    val inL = bounds.isLCol(v)
-    val zeroL = lit(0L); val zeroD = lit(0.0)
-    val rows = df
-      .where(rand(seed) < rate)
-      .groupBy(col(blockCol).cast("long").as("block"))
-      .agg(
-        sum(when(inS, 1L).otherwise(zeroL)).as("s_n"),
-        sum(when(inS, v).otherwise(zeroD)).as("s_sum"),
-        sum(when(inS, v * v).otherwise(zeroD)).as("s_sum2"),
-        sum(when(inS, v * v * v).otherwise(zeroD)).as("s_sum3"),
-        sum(when(inL, 1L).otherwise(zeroL)).as("l_n"),
-        sum(when(inL, v).otherwise(zeroD)).as("l_sum"),
-        sum(when(inL, v * v).otherwise(zeroD)).as("l_sum2"),
-        sum(when(inL, v * v * v).otherwise(zeroD)).as("l_sum3"),
-      )
-      .collect()
-    val byBlock = rows.map { r =>
-      val b = r.getLong(0)
-      b -> BlockMoments(
-        block = b,
-        blockSize = sizes.getOrElse(b, 0L),
-        s = RegionMoments(r.getLong(1), r.getDouble(2), r.getDouble(3), r.getDouble(4)),
-        l = RegionMoments(r.getLong(5), r.getDouble(6), r.getDouble(7), r.getDouble(8)),
-      )
-    }.toMap
-    // Blocks whose entire sample missed S∪L (or yielded no sample at all)
-    // still exist and must appear with empty moments.
-    sizes.keys.toSeq.sorted.map { b =>
-      byBlock.getOrElse(b, BlockMoments(b, sizes(b), RegionMoments.empty, RegionMoments.empty))
-    }
+    of(SampleAgg.run(df, col(blockCol), col(valueCol), "ISLA moments", seed, _ => rate, _ => Some(bounds)), sizes)
   }
+
+  /** Per-block S/L moments of a pass split by boundaries. Blocks whose
+    * entire sample missed S∪L (or yielded no sample at all) still exist
+    * and appear with empty moments.
+    */
+  private[core] def of(samples: Map[Long, BlockSample], sizes: Map[Long, Long]): Seq[BlockMoments] =
+    sizes.keys.toSeq.sorted.map { b =>
+      def region(r: Region) = samples.get(b).fold(RegionMoments.empty)(_.region(r))
+      BlockMoments(b, sizes(b), region(Region.S), region(Region.L))
+    }
 
   /** Driver-side reference implementation of Algorithm 1 over explicit
     * samples — used by tests to pin the Spark aggregation's semantics.

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.{col, lit}
 
 /** Output of the Pre-estimation module (§III): the estimated standard
   * deviation, the initial sketch estimator, and a pilot minimum used to
@@ -9,7 +9,7 @@ import org.apache.spark.sql.functions._
   */
 final case class PreEstimate(sigma: Double, sketch0: Double, pilotMin: Double, pilotMean: Double)
 
-/** Pre-estimation module (§III): two small uniform Spark passes.
+/** Pre-estimation module (§III): two small uniform [[SampleAgg]] passes.
   *
   * Pass 1 draws a fixed-size pilot (proportionally across blocks — a
   * global Bernoulli rate achieves exactly that) to estimate σ; σ only
@@ -29,26 +29,24 @@ object PreEstimation {
     * @param seed     RNG seed; pass 2 uses seed+1
     */
   def run(df: DataFrame, valueCol: String, dataSize: Long, p: IslaParams, seed: Long = 7L): PreEstimate = {
-    val v = col(valueCol).cast("double")
+    // Both pilots pool the input: a constant block id.
+    def pilot(label: String, seed: Long, rate: Double): BlockSample =
+      SampleAgg.run(df, lit(0L), col(valueCol), label, seed, _ => rate)
+        .getOrElse(0L, new BlockSample(1))
 
     // Pass 1: σ (and min, for the negative-data shift) from a small pilot.
     val pilotRate = math.min(1.0, p.sigmaPilot.toDouble / dataSize)
-    val r1 = df.where(rand(seed) < pilotRate)
-      .agg(stddev_samp(v).as("sd"), min(v).as("mn"), avg(v).as("av"))
-      .collect()(0)
-    val sigma = if (r1.isNullAt(0)) 0.0 else r1.getDouble(0)
-    val pilotMin = if (r1.isNullAt(1)) 0.0 else r1.getDouble(1)
-    val pilotMean = if (r1.isNullAt(2)) 0.0 else r1.getDouble(2)
+    val pass1 = pilot("ISLA σ pilot", seed, pilotRate)
+    val sigma = pass1.sd
     require(!sigma.isNaN, "pilot produced NaN sigma — empty input?")
 
     // Pass 2: sketch₀ at the relaxed precision t_e·e (Eq. 1 with e' = t_e·e).
     val sketchRate =
       if (sigma <= 0) pilotRate // constant column: any sample gives the exact mean
       else SampleSize.samplingRate(sigma, p.te * p.e, p.beta, dataSize)
-    val r2 = df.where(rand(seed + 1) < sketchRate).agg(avg(v).as("sk")).collect()(0)
-    val sketch0 = if (r2.isNullAt(0)) pilotMean else r2.getDouble(0)
+    val pass2 = pilot("ISLA sketch₀", seed + 1, sketchRate)
+    val sketch0 = if (pass2.n == 0) pass1.avg else pass2.avg
 
-    PreEstimate(sigma = math.max(sigma, 0.0), sketch0 = sketch0,
-      pilotMin = pilotMin, pilotMean = pilotMean)
+    PreEstimate(sigma = math.max(sigma, 0.0), sketch0 = sketch0, pilotMin = pass1.min, pilotMean = pass1.avg)
   }
 }

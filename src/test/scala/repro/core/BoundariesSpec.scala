@@ -3,8 +3,8 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
-/** Data-boundary tests (§IV-A1), including the Catalyst classifier
-  * against both the scalar classifier and the DuckDB oracle.
+/** Data-boundary tests (§IV-A1), including the sampling kernel's region
+  * split against the DuckDB oracle.
   */
 class BoundariesSpec extends SparkSpec {
 
@@ -63,43 +63,22 @@ class BoundariesSpec extends SparkSpec {
     intercept[IllegalArgumentException](Boundaries(100, -1, 0.5, 2.0))
   }
 
-  test("Catalyst classifier agrees with the scalar classifier") {
-    import spark.implicits._
-    val values = (0 to 250).map(_.toDouble)
-    val df = values.toDF("value")
-    val got = df.select(col("value"), b.regionCol(col("value")).as("region"))
-      .collect().map(r => r.getDouble(0) -> r.getString(1)).toMap
-    values.foreach { v =>
-      assert(got(v) == b.classify(v).name, s"v=$v")
-    }
-  }
-
-  test("Catalyst isS/isL predicates agree with the scalar ones") {
-    import spark.implicits._
-    val values = (0 to 250).map(_.toDouble)
-    val df = values.toDF("value")
-    val got = df.select(col("value"), b.isSCol(col("value")).as("s"), b.isLCol(col("value")).as("l"))
-      .collect().map(r => (r.getDouble(0), r.getBoolean(1), r.getBoolean(2)))
-    got.foreach { case (v, s, l) =>
-      assert(s == b.isS(v) && l == b.isL(v), s"v=$v")
-    }
-  }
-
   test("region counts match the DuckDB oracle") {
     import spark.implicits._
-    val df = (0 until 1000).map(i => (i % 251).toDouble).toDF("value")
-    val sparkCounts = df
-      .groupBy(b.regionCol(col("value")).as("region"))
-      .agg(count(lit(1)).as("cnt"))
+    val df = (0 until 1000).map(i => ((i % 251).toDouble, (i % 3).toLong)).toDF("value", "block")
+    val bounds = Some(b) // a local: the pass's closure must not capture the suite
+    val got = SampleAgg.run(df, col("block"), col("value"), "test", 1L, _ => 1.0, _ => bounds)
+      .toSeq.flatMap { case (blk, s) => Region.all.zip(s.regions).map { case (r, m) => (blk, r.name, m.n) } }
+      .filter(_._3 > 0)
     Oracle.assertEquivalent(
-      sparkCounts,
-      s"""SELECT CASE
+      got.toDF("block", "region", "cnt"),
+      s"""SELECT block, CASE
          |  WHEN CAST(value AS DOUBLE) <= ${b.lo2} THEN 'TS'
          |  WHEN CAST(value AS DOUBLE) <  ${b.lo1} THEN 'S'
          |  WHEN CAST(value AS DOUBLE) <= ${b.hi1} THEN 'N'
          |  WHEN CAST(value AS DOUBLE) <  ${b.hi2} THEN 'L'
          |  ELSE 'TL' END AS region, count(*) AS cnt
-         |FROM t GROUP BY 1""".stripMargin,
+         |FROM t GROUP BY 1, 2""".stripMargin,
       "t" -> df,
     )
   }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.data.Distributions
 
@@ -26,15 +25,6 @@ class IslaNonIidSpec extends SparkSpec {
     val blev = IslaNonIid.blockLeverages(pres)
     val ordered = (0L to 4L).map(blev)
     assert(ordered == ordered.sorted)
-  }
-
-  test("perBlockColumn maps each block id to its constant") {
-    import spark.implicits._
-    val df = (0 until 30).map(i => (i.toLong % 3, i)).toDF("block", "x")
-    val c = IslaNonIid.perBlockColumn(Map(0L -> 0.1, 1L -> 0.2, 2L -> 0.3), "block")
-    val got = df.select(col("block"), c.as("r")).distinct().collect()
-      .map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    assert(got == Map(0L -> 0.1, 1L -> 0.2, 2L -> 0.3))
   }
 
   test("per-block pre-estimation recovers each block's μ and σ") {

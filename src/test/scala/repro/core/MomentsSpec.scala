@@ -3,8 +3,8 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
-/** Tests for the sampling phase (Algorithm 1): moment algebra, the Spark
-  * aggregation, and DuckDB oracle checks on the exact aggregates.
+/** Tests for the sampling phase (Algorithm 1): moment algebra, the
+  * sampling pass, and DuckDB oracle checks on its exact aggregates.
   *
   * Oracle inputs use integer-valued data so Σa, Σa², Σa³ are exact in
   * double arithmetic on both engines.
@@ -62,15 +62,11 @@ class MomentsSpec extends SparkSpec {
   test("blockSizes matches the DuckDB oracle") {
     import spark.implicits._
     val df = (0 until 997).map(i => ((i % 37).toDouble, (i % 5).toLong)).toDF("value", "block")
-    val sparkCounts = df.groupBy(col("block")).agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(
-      sparkCounts,
+      Moments.blockSizes(df).toSeq.toDF("block", "cnt"),
       "SELECT block, count(*) AS cnt FROM t GROUP BY block",
       "t" -> df,
     )
-    val sizes = Moments.blockSizes(df)
-    assert(sizes.values.sum == 997L)
-    assert(sizes.keySet == (0L until 5L).toSet)
   }
 
   test("Spark moments at rate 1.0 equal the driver-side reference per block") {
@@ -99,17 +95,11 @@ class MomentsSpec extends SparkSpec {
     val rnd = new scala.util.Random(7)
     val df = (0 until 3000).map(_ => (rnd.nextInt(250).toDouble, rnd.nextInt(3).toLong))
       .toDF("value", "block")
-    val v = col("value").cast("double")
-    val sparkAgg = df.groupBy(col("block")).agg(
-      sum(when(bounds.isSCol(v), 1L).otherwise(0L)).as("s_n"),
-      sum(when(bounds.isSCol(v), v).otherwise(0.0)).as("s_sum"),
-      sum(when(bounds.isSCol(v), v * v).otherwise(0.0)).as("s_sum2"),
-      sum(when(bounds.isLCol(v), 1L).otherwise(0L)).as("l_n"),
-      sum(when(bounds.isLCol(v), v).otherwise(0.0)).as("l_sum"),
-      sum(when(bounds.isLCol(v), v * v).otherwise(0.0)).as("l_sum2"),
-    )
+    val got = Moments.collect(df, "value", 1.0, bounds, Moments.blockSizes(df), seed = 8L)
+      .map(bm => (bm.block, bm.s.n, bm.s.sum, bm.s.sum2, bm.l.n, bm.l.sum, bm.l.sum2))
+      .toDF("block", "s_n", "s_sum", "s_sum2", "l_n", "l_sum", "l_sum2")
     Oracle.assertEquivalent(
-      sparkAgg,
+      got,
       s"""SELECT block,
          |  sum(CASE WHEN d > ${bounds.lo2} AND d < ${bounds.lo1} THEN 1 ELSE 0 END) AS s_n,
          |  sum(CASE WHEN d > ${bounds.lo2} AND d < ${bounds.lo1} THEN d ELSE 0 END) AS s_sum,

@@ -1,0 +1,180 @@
+package repro.core
+
+import scala.collection.mutable
+
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions._
+
+import repro.{Oracle, SparkSpec}
+import repro.baselines.{MeasureBiased, StratifiedSampling, UniformSampling}
+import repro.data.Distributions
+
+/** Tests for the sampling kernel: it samples the rows `rand(seed)`
+  * samples, reproduces the SQL aggregates it replaced, skips nulls as
+  * they do, and runs one shuffle-free, labelled job per pass.
+  */
+class SampleAggSpec extends SparkSpec {
+
+  /** 7 interleaved blocks over 6 partitions. */
+  private def input(rows: Long): DataFrame =
+    spark.range(0, rows, 1, 6).select(
+      (col("id") % 7).as("block"),
+      (lit(100.0) + randn(3) * 20).as("value"))
+
+  private def counts(samples: Map[Long, BlockSample]): Map[Long, Long] =
+    samples.map { case (b, s) => b -> s.n }
+
+  private def sqlCounts(sampled: DataFrame): Map[Long, Long] =
+    sampled.groupBy("block").count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+
+  test("a constant rate samples exactly the rows where(rand(seed) < r) keeps") {
+    val df = input(30000L).cache()
+    try {
+      assert(df.rdd.getNumPartitions >= 4)
+      val got = SampleAgg.run(df, col("block"), col("value"), "test", 5L, _ => 0.3)
+      assert(counts(got) == sqlCounts(df.where(rand(5L) < 0.3)))
+      assert(got.map { case (b, s) => b -> s.rows } == sqlCounts(df))
+    } finally { df.unpersist(); () }
+  }
+
+  test("a per-block rate map samples exactly the rows rand(seed) < rate(block) keeps") {
+    val df = input(30000L).cache()
+    try {
+      val rates = Map(0L -> 0.0, 1L -> 0.01, 2L -> 0.1, 3L -> 0.25, 4L -> 0.5, 5L -> 0.9, 6L -> 1.0)
+      val got = SampleAgg.run(df, col("block"), col("value"), "test", 8L, rates)
+      val expected = sqlCounts(df.where(rand(8L) < element_at(typedLit(rates), col("block"))))
+      assert(counts(got).filter(_._2 > 0) == expected)
+    } finally { df.unpersist(); () }
+  }
+
+  test("pilot statistics equal Spark's stddev_samp, min and avg bit for bit") {
+    val df = input(30000L).cache()
+    try {
+      val v = col("value")
+      val pooled = SampleAgg.run(df, lit(0L), v, "test", 9L, _ => 0.2)(0L)
+      val r = df.where(rand(9L) < 0.2).agg(stddev_samp(v), min(v), avg(v)).collect()(0)
+      assert((pooled.sd, pooled.min, pooled.avg) == ((r.getDouble(0), r.getDouble(1), r.getDouble(2))))
+
+      val perBlock = SampleAgg.run(df, col("block"), v, "test", 10L, _ => 0.2)
+      df.where(rand(10L) < 0.2).groupBy("block").agg(stddev_samp(v), min(v), avg(v)).collect()
+        .foreach { r =>
+          val s = perBlock(r.getLong(0))
+          assert((s.sd, s.min, s.avg) == ((r.getDouble(1), r.getDouble(2), r.getDouble(3))), s"block ${r.get(0)}")
+        }
+    } finally { df.unpersist(); () }
+  }
+
+  test("S/L moments equal Spark's conditional sums bit for bit") {
+    val df = input(30000L).cache()
+    try {
+      val bounds = Boundaries(100.0, 20.0, 0.5, 2.0)
+      val got = Moments.collect(df, "value", 0.4, bounds, Moments.blockSizes(df), seed = 11L)
+      val v = col("value")
+      def moments(in: Column) = Seq(
+        sum(when(in, 1L).otherwise(0L)), sum(when(in, v).otherwise(0.0)),
+        sum(when(in, v * v).otherwise(0.0)), sum(when(in, v * v * v).otherwise(0.0)))
+      val inS = v > bounds.lo2 && v < bounds.lo1
+      val inL = v > bounds.hi1 && v < bounds.hi2
+      val expected = df.where(rand(11L) < 0.4).groupBy("block")
+        .agg(moments(inS).head, (moments(inS).tail ++ moments(inL)): _*)
+        .collect()
+        .map(r => r.getLong(0) -> (
+          RegionMoments(r.getLong(1), r.getDouble(2), r.getDouble(3), r.getDouble(4)),
+          RegionMoments(r.getLong(5), r.getDouble(6), r.getDouble(7), r.getDouble(8))))
+        .toMap
+      assert(got.map(bm => bm.block -> (bm.s, bm.l)).toMap == expected)
+    } finally { df.unpersist(); () }
+  }
+
+  test("null values are skipped as SQL aggregates skip them; block sizes count their rows") {
+    import spark.implicits._
+    val df = (0 until 3000)
+      .map(i => (if (i % 7 == 0) None else Some((i % 97).toDouble), (i % 3).toLong))
+      .toDF("value", "block")
+    val d = "(SELECT block, CAST(value AS DOUBLE) AS d FROM t)"
+
+    Oracle.assertEquivalent(Seq(UniformSampling.run(df, "value", 1.0).answer).toDF("a"),
+      s"SELECT avg(d) AS a FROM $d", "t" -> df)
+    Oracle.assertEquivalent(Seq(MeasureBiased.runMV(df, "value", 1.0).answer).toDF("a"),
+      s"""SELECT sum(s2 / s * n) / sum(n) AS a
+         |FROM (SELECT sum(d * d) AS s2, sum(d) AS s, count(d) AS n FROM $d GROUP BY block)""".stripMargin,
+      "t" -> df)
+
+    val sizes = Moments.blockSizes(df)
+    Oracle.assertEquivalent(sizes.toSeq.toDF("block", "n"),
+      "SELECT CAST(block AS BIGINT) AS block, count(*) AS n FROM t GROUP BY 1", "t" -> df)
+    assert(sizes.values.sum == 3000L)
+
+    val b = Boundaries(48.0, 20.0, 0.5, 2.0)
+    val got = Moments.collect(df, "value", 1.0, b, sizes, seed = 12L)
+      .map(bm => (bm.block, bm.s.n + bm.l.n, bm.s.sum + bm.l.sum)).toDF("block", "n", "s")
+    val inSL = s"(d > ${b.lo2} AND d < ${b.lo1}) OR (d > ${b.hi1} AND d < ${b.hi2})"
+    Oracle.assertEquivalent(got,
+      s"SELECT block, count(CASE WHEN $inSL THEN d END) AS n, sum(CASE WHEN $inSL THEN d END) AS s FROM $d GROUP BY block",
+      "t" -> df)
+  }
+
+  /** Records the jobs submitted and the shuffle bytes written. */
+  private final class JobLog extends SparkListener {
+    val descriptions = mutable.ArrayBuffer.empty[String]
+    var shuffleBytes = 0L
+    override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+      descriptions += Option(e.properties).map(_.getProperty("spark.job.description")).orNull
+    }
+    override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+      if (e.taskMetrics != null) shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+    }
+  }
+
+  /** The jobs `body` runs, with their descriptions, and the shuffle bytes it writes. */
+  private def logJobs(body: => Any): (Seq[String], Long) = {
+    val sc = spark.sparkContext
+    ListenerBusDrain(sc)
+    val log = new JobLog
+    sc.addSparkListener(log)
+    try {
+      body
+      ListenerBusDrain(sc)
+      log.synchronized((log.descriptions.toList, log.shuffleBytes))
+    } finally sc.removeSparkListener(log)
+  }
+
+  test("every call runs one shuffle-free job per pass") {
+    val df = Distributions.normal(spark, 50000L, 100.0, 20.0, 5, seed = 13).cache()
+    try {
+      df.count()
+      val sizes = Moments.blockSizes(df)
+      val p = IslaParams(e = 1.0)
+      val calls = Seq[(String, Int, () => Any)](
+        ("Isla.run with sizes", 3, () => Isla.run(df, "value", p, Some(sizes))),
+        ("Isla.run without sizes", 4, () => Isla.run(df, "value", p)),
+        ("IslaNonIid.run", 3, () => IslaNonIid.run(df, "value", p, Some(sizes))),
+        ("US", 1, () => UniformSampling.run(df, "value", 0.1)),
+        ("STS", 1, () => StratifiedSampling.run(df, "value", 0.1, Some(sizes))),
+        ("MV", 1, () => MeasureBiased.runMV(df, "value", 0.1)),
+        ("MVB with sizes", 3, () => MeasureBiased.runMVB(df, "value", 0.1, p, Some(sizes))),
+      )
+      calls.foreach { case (name, jobs, call) =>
+        val (descriptions, shuffleBytes) = logJobs(call())
+        assert(descriptions.size == jobs, s"$name: jobs $descriptions")
+        assert(shuffleBytes == 0L, s"$name: shuffle bytes")
+      }
+    } finally { df.unpersist(); () }
+  }
+
+  test("each job is labelled with its phase and the caller's description is restored") {
+    val df = Distributions.normal(spark, 20000L, 100.0, 20.0, 4, seed = 14).cache()
+    val sc = spark.sparkContext
+    try {
+      df.count()
+      sc.setJobDescription("caller")
+      val (descriptions, _) = logJobs {
+        Isla.run(df, "value", IslaParams(e = 1.0))
+        sc.parallelize(Seq(1)).count()
+      }
+      assert(descriptions == Seq("ISLA block sizes", "ISLA σ pilot", "ISLA sketch₀", "ISLA moments", "caller"))
+    } finally { sc.setJobDescription(null); df.unpersist(); () }
+  }
+}
