@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
-import repro.core.{Boundaries, IslaParams, Moments, PreEstimation, Region, SampleAgg}
+import repro.core.{Boundaries, IslaParams, Moments, PreEstimation, SampleAgg}
 
 /** The measure-biased comparators of §VIII-C, re-implemented from the
   * paper's definitions (the sample+seek originals are closed source).
@@ -63,16 +63,5 @@ object MeasureBiased {
     }
     val answer = blocks.zip(partials).map { case ((_, s), (_, est)) => est * s.n }.sum / blocks.map(_._2.n).sum
     BaselineResult(answer, partials)
-  }
-
-  /** Driver-side reference MVB estimate over explicit samples (tests). */
-  def mvbOf(samples: Seq[Double], bounds: Boundaries): Double = {
-    val m = samples.size.toDouble
-    require(m > 0, "empty sample")
-    Region.all.map { reg =>
-      val in = samples.filter(a => bounds.classify(a) == reg)
-      val s = in.sum
-      if (s == 0) 0.0 else (in.size / m) * (in.map(a => a * a).sum / s)
-    }.sum
   }
 }

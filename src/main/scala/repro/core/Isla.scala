@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.functions.col
 
 /** Full ISLA output: the final answer plus everything the paper's
   * evaluation section reports about a run (sketch₀, rate, partials).
@@ -22,14 +22,18 @@ final case class IslaResult(
 /** ISLA end to end (Fig. 2): Pre-estimation → per-block Calculation
   * (sampling + iteration) → Summarization.
   *
-  * The two data-touching phases are Spark jobs (pilot aggregates and the
+  * The two data-touching phases are Spark jobs (pilot passes and the
   * single-pass per-block moment aggregation of Algorithm 1); the
   * iteration phase is O(b·log(|D⁰|/thr)) scalar work on the driver, and
   * Summarization is the size-weighted merge Σ avg_j·|Bⱼ|/M.
   *
-  * Negative data are handled per footnote 1 of §IV-A2: when the pilot
-  * sees values ≤ 0 the whole computation runs on `value + shift`
-  * (shift = σ − pilotMin, keeping everything strictly positive) and the
+  * This is the pooled case of the per-block pipeline of [[IslaNonIid]]:
+  * the input is pre-estimated as one block, so every block shares its
+  * boundaries and one Eq.-1 rate.
+  *
+  * Negative data are handled per footnote 1 of §IV-A2: when a pilot sees
+  * values ≤ 0 the whole computation runs on `value + shift` (shift =
+  * max(σ, 1) − pilot min, keeping everything strictly positive) and the
   * final answer is translated back.
   */
 object Isla {
@@ -40,7 +44,7 @@ object Isla {
     * @param valueCol aggregation column
     * @param p        algorithm parameters (paper defaults)
     * @param sizes    optional precomputed block sizes (metadata); computed if absent
-    * @param seed     RNG seed; the pilot uses seed, the main pass seed+2
+    * @param seed     RNG seed; the pilots use seed and seed+1, the main pass seed+2
     */
   def run(
       df: DataFrame,
@@ -55,23 +59,31 @@ object Isla {
     require(m > 0, "empty input")
 
     val pre = PreEstimation.run(df, valueCol, m, p, seed)
-
-    // Footnote 1: translate to strictly positive values when needed.
-    val shift = if (pre.pilotMin <= 0) -pre.pilotMin + math.max(pre.sigma, 1.0) else 0.0
-    val workDf = if (shift == 0) df else df.withColumn(valueCol, col(valueCol) + lit(shift))
-    val sketch0 = pre.sketch0 + shift
-
     val rate = p.rateOverride.getOrElse {
       if (pre.sigma <= 0) math.min(1.0, p.sigmaPilot.toDouble / m) // constant data
       else math.min(1.0, SampleSize.samplingRate(pre.sigma, p.e, p.beta, m) * p.rateFraction)
     }
-    val bounds = Boundaries(sketch0, pre.sigma, p.p1, p.p2)
-
-    val moments = Moments.collect(workDf, valueCol, rate, bounds, blockSizes, blockCol, seed + 2)
-    val blocks = moments.map(Modulation.solveBlock(_, sketch0, p))
-    val answer = summarize(blocks) - shift
-
+    val (answer, shift, blocks) =
+      calculate(df, valueCol, blockCol, blockSizes, blockSizes.map(_._1 -> pre), _ => rate, p, seed, "ISLA")
     IslaResult(answer, pre.sketch0, pre.sigma, rate, m, shift, blocks)
+  }
+
+  /** Calculation and Summarization, shared by both pipelines: the
+    * footnote-1 shift from all pre-estimates, each block's boundaries from
+    * its pre-estimate on the shifted scale, one moment pass (Algorithm 1,
+    * seed+2) at each block's rate, modulation (Algorithm 2) and the
+    * size-weighted merge, shifted back. `label` prefixes the pass's job
+    * description. Returns the answer, the shift and the blocks.
+    */
+  private[core] def calculate(df: DataFrame, valueCol: String, blockCol: String, sizes: Map[Long, Long],
+                              pre: Map[Long, BlockPre], rate: Long => Double, p: IslaParams, seed: Long,
+                              label: String): (Double, Double, Seq[BlockResult]) = {
+    val lowest = pre.values.map(_.pilotMin).min
+    val shift = if (lowest <= 0) -lowest + math.max(pre.values.map(_.sigma).max, 1.0) else 0.0
+    val bounds = pre.map { case (b, pr) => b -> Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2) }
+    val samples = SampleAgg.run(df, col(blockCol), col(valueCol), s"$label moments", seed + 2, rate, bounds.get, shift)
+    val blocks = Moments.of(samples, sizes).map(bm => Modulation.solveBlock(bm, bounds(bm.block).sketch0, p))
+    (summarize(blocks) - shift, shift, blocks)
   }
 
   /** Summarization module (§II-C): Σ avg_j·|Bⱼ| / M. */

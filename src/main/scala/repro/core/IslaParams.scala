@@ -69,6 +69,7 @@ final case class IslaParams(
   require(eta > 0 && eta < 1, s"eta must be in (0,1): $eta")
   require(te > 1, s"te must exceed 1: $te")
   require(rateFraction > 0 && rateFraction <= 1, s"rateFraction in (0,1]: $rateFraction")
+  require(rateOverride.forall(r => r > 0 && r <= 1), s"rateOverride in (0,1]: $rateOverride")
 
   /** Iteration threshold thr for |D| (§V-D). */
   def thr: Double = thrFraction * e

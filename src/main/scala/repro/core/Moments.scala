@@ -72,21 +72,15 @@ object Moments {
 
   /** Per-block S/L moments of a pass split by boundaries. Blocks whose
     * entire sample missed S∪L (or yielded no sample at all) still exist
-    * and appear with empty moments.
+    * and appear with empty moments; a block the pass saw but `sizes`
+    * lacks is rejected, since the answer could not weight it.
     */
-  private[core] def of(samples: Map[Long, BlockSample], sizes: Map[Long, Long]): Seq[BlockMoments] =
+  private[core] def of(samples: Map[Long, BlockSample], sizes: Map[Long, Long]): Seq[BlockMoments] = {
+    val unknown = samples.keySet.diff(sizes.keySet)
+    require(unknown.isEmpty, s"blocks missing from sizes: ${unknown.toSeq.sorted.mkString(", ")}")
     sizes.keys.toSeq.sorted.map { b =>
       def region(r: Region) = samples.get(b).fold(RegionMoments.empty)(_.region(r))
       BlockMoments(b, sizes(b), region(Region.S), region(Region.L))
     }
-
-  /** Driver-side reference implementation of Algorithm 1 over explicit
-    * samples — used by tests to pin the Spark aggregation's semantics.
-    */
-  def fromSamples(samples: Seq[Double], bounds: Boundaries): (RegionMoments, RegionMoments) =
-    samples.foldLeft((RegionMoments.empty, RegionMoments.empty)) { case ((s, l), a) =>
-      if (bounds.isS(a)) (s.add(a), l)
-      else if (bounds.isL(a)) (s, l.add(a))
-      else (s, l) // "Drop a" — TS, N, TL samples leave no trace
-    }
+  }
 }

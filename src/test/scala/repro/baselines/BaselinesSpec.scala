@@ -126,7 +126,7 @@ class BaselinesSpec extends SparkSpec {
   test("mvbOf: region mass ∝ count, within-region ∝ value") {
     val b = Boundaries(100.0, 20.0, 0.5, 2.0)
     // Samples: two in S (70, 80), one in N (100), one in L (120).
-    val est = MeasureBiased.mvbOf(Seq(70.0, 80.0, 100.0, 120.0), b)
+    val est = ReferenceMvb.mvbOf(Seq(70.0, 80.0, 100.0, 120.0), b)
     val expected = (2.0 / 4) * ((70.0 * 70 + 80.0 * 80) / 150.0) +
       (1.0 / 4) * 100.0 + (1.0 / 4) * 120.0
     assert(math.abs(est - expected) < 1e-9)
@@ -134,7 +134,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("mvbOf handles an all-zero region") {
     val b = Boundaries(100.0, 20.0, 0.5, 2.0)
-    val est = MeasureBiased.mvbOf(Seq(0.0, 0.0, 100.0), b)
+    val est = ReferenceMvb.mvbOf(Seq(0.0, 0.0, 100.0), b)
     assert(math.abs(est - 100.0 / 3.0) < 1e-9)
   }
 
@@ -151,7 +151,7 @@ class BaselinesSpec extends SparkSpec {
       val pre = repro.core.PreEstimation.run(df, "value", sizes.values.sum, p, 89)
       val b = Boundaries(pre.sketch0, pre.sigma, p.p1, p.p2)
       (0L until 3L).foreach { blk =>
-        val expected = MeasureBiased.mvbOf(rows.filter(_._2 == blk).map(_._1), b)
+        val expected = ReferenceMvb.mvbOf(rows.filter(_._2 == blk).map(_._1), b)
         val got = r.partials.find(_._1 == blk).get._2
         assert(math.abs(got - expected) < 1e-6, s"block $blk: got=$got expected=$expected")
       }

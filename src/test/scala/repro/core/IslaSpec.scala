@@ -123,6 +123,60 @@ class IslaSpec extends SparkSpec {
     } finally { df.unpersist(); () }
   }
 
+  test("the footnote-1 shift applied by the kernel equals shifting the input column") {
+    // The layer-by-layer chain the benchmark's traced run composes.
+    val df = Distributions.normal(spark, 100000L, -50.0, 10.0, 10, seed = 32).cache()
+    try {
+      val q = IslaParams(e = 0.5)
+      val sizes = Moments.blockSizes(df)
+      val m = sizes.values.sum
+      val r = Isla.run(df, "value", q, Some(sizes), seed = 48)
+
+      val pre = PreEstimation.run(df, "value", m, q, 48)
+      assert(pre.pilotMin <= 0, s"pilotMin=${pre.pilotMin}")
+      val shift = -pre.pilotMin + math.max(pre.sigma, 1.0)
+      val rate = math.min(1.0, SampleSize.samplingRate(pre.sigma, q.e, q.beta, m) * q.rateFraction)
+      val bounds = Boundaries(pre.sketch0 + shift, pre.sigma, q.p1, q.p2)
+      val moments = Moments.collect(df.withColumn("value", col("value") + lit(shift)), "value", rate,
+        bounds, sizes, seed = 50)
+      val blocks = moments.map(Modulation.solveBlock(_, pre.sketch0 + shift, q))
+
+      assert((r.shift, r.rate, r.sketch0, r.sigma) == ((shift, rate, pre.sketch0, pre.sigma)))
+      assert(r.blocks == blocks)
+      assert(r.answer == Isla.summarize(blocks) - shift)
+    } finally { df.unpersist(); () }
+  }
+
+  test("rateOverride outside (0,1] is rejected for both pipelines") {
+    Seq(0.0, -0.1, 1.5, Double.NaN).foreach { r =>
+      val e = intercept[IllegalArgumentException](p.copy(rateOverride = Some(r)))
+      assert(e.getMessage.contains("rateOverride"), e.getMessage)
+    }
+    val df = Distributions.normal(spark, 20000L, 100.0, 20.0, 4, seed = 33).cache()
+    try {
+      val runs = Seq[IslaParams => IslaResult](
+        Isla.run(df, "value", _, seed = 51), IslaNonIid.run(df, "value", _, seed = 51))
+      runs.foreach { run =>
+        intercept[IllegalArgumentException](run(p.copy(rateOverride = Some(0.0))))
+        assert(run(p.copy(rateOverride = Some(1.0))).rate == 1.0)
+      }
+    } finally { df.unpersist(); () }
+  }
+
+  test("blocks in the data but missing from sizes are rejected by name") {
+    val df = Distributions.normal(spark, 20000L, 100.0, 20.0, 4, seed = 34).cache()
+    try {
+      val partial = Some(Moments.blockSizes(df) - 1L - 3L)
+      val runs = Seq[() => IslaResult](
+        () => Isla.run(df, "value", p, partial, seed = 52),
+        () => IslaNonIid.run(df, "value", p, partial, seed = 52))
+      runs.foreach { run =>
+        val e = intercept[IllegalArgumentException](run())
+        assert(e.getMessage.contains("blocks missing from sizes: 1, 3"), e.getMessage)
+      }
+    } finally { df.unpersist(); () }
+  }
+
   test("precomputed block sizes give the same result as computed ones") {
     val df = Distributions.normal(spark, 50000L, 100.0, 20.0, 5, seed = 31).cache()
     try {

@@ -15,24 +15,24 @@ object LeverageProps extends Properties("Leverage") {
 
   property("normalized leverages sum to 1 (Theorem 2)") =
     Prop.forAll(samplesGen) { case (xs, ys, q) =>
-      math.abs(Leverage.Explicit(xs, ys, q).leverageSum - 1.0) < 1e-9
+      math.abs(ExplicitLeverage(xs, ys, q).leverageSum - 1.0) < 1e-9
     }
 
   property("probabilities sum to 1 for any α (Eq. 2)") =
     Prop.forAll(samplesGen, Gen.choose(-1.0, 1.0)) { case ((xs, ys, q), a) =>
-      math.abs(Leverage.Explicit(xs, ys, q).probabilitySum(a) - 1.0) < 1e-9
+      math.abs(ExplicitLeverage(xs, ys, q).probabilitySum(a) - 1.0) < 1e-9
     }
 
   property("region leverage masses satisfy Constraint 2") =
     Prop.forAll(samplesGen) { case (xs, ys, q) =>
-      val e = Leverage.Explicit(xs, ys, q)
+      val e = ExplicitLeverage(xs, ys, q)
       val ratio = xs.map(e.leverageS).sum / ys.map(e.leverageL).sum
       math.abs(ratio - q * xs.size / ys.size) < 1e-6
     }
 
   property("Theorem 3's closed form equals the explicit 5-step path") =
     Prop.forAll(samplesGen, Gen.choose(-1.0, 1.0)) { case ((xs, ys, q), a) =>
-      val explicit = Leverage.Explicit(xs, ys, q).muHat(a)
+      val explicit = ExplicitLeverage(xs, ys, q).muHat(a)
       val closed = Leverage.kc(RegionMoments.of(xs), RegionMoments.of(ys), q).muHat(a)
       math.abs(explicit - closed) < 1e-6
     }

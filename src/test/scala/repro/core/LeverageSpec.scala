@@ -9,7 +9,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class LeverageSpec extends AnyFunSuite {
 
   // Table II setting: sketch₀=6.2, p₁σ=1, p₂σ=3; S={4,5}, L={8}, q=1.
-  private val ex = Leverage.Explicit(Seq(4.0, 5.0), Seq(8.0), q = 1.0)
+  private val ex = ExplicitLeverage(Seq(4.0, 5.0), Seq(8.0), q = 1.0)
 
   test("Table II: T = Σx²+Σy² = 105") { assert(ex.t == 105.0) }
 
@@ -77,7 +77,7 @@ class LeverageSpec extends AnyFunSuite {
       val xs = Seq.fill(rnd.nextInt(8) + 2)(rnd.nextDouble() * 50 + 50)
       val ys = Seq.fill(rnd.nextInt(8) + 2)(rnd.nextDouble() * 50 + 110)
       val q = Seq(0.1, 0.2, 1.0, 5.0, 10.0)(rnd.nextInt(5))
-      val e = Leverage.Explicit(xs, ys, q)
+      val e = ExplicitLeverage(xs, ys, q)
       val sS = xs.map(e.leverageS).sum
       val sL = ys.map(e.leverageL).sum
       assert(math.abs(sS / sL - q * xs.size / ys.size) < 1e-9, s"q=$q u=${xs.size} v=${ys.size}")
@@ -108,7 +108,7 @@ class LeverageSpec extends AnyFunSuite {
       val ys = Seq.fill(rnd.nextInt(20) + 1)(rnd.nextDouble() * 40 + 110)
       val q = Seq(0.1, 0.5, 1.0, 2.0, 5.0, 10.0)(rnd.nextInt(6))
       val alpha = rnd.nextDouble() * 2 - 1
-      val explicit = Leverage.Explicit(xs, ys, q)
+      val explicit = ExplicitLeverage(xs, ys, q)
       val form = Leverage.kc(RegionMoments.of(xs), RegionMoments.of(ys), q)
       assert(math.abs(form.muHat(alpha) - explicit.muHat(alpha)) < 1e-7,
         s"u=${xs.size} v=${ys.size} q=$q alpha=$alpha")
@@ -136,7 +136,7 @@ class LeverageSpec extends AnyFunSuite {
   }
 
   test("larger S-values get smaller leverages; larger L-values get larger ones (Fig. 4)") {
-    val e = Leverage.Explicit(Seq(62.0, 75.0, 88.0), Seq(112.0, 125.0, 138.0), 1.0)
+    val e = ExplicitLeverage(Seq(62.0, 75.0, 88.0), Seq(112.0, 125.0, 138.0), 1.0)
     assert(e.leverageS(62.0) > e.leverageS(75.0))
     assert(e.leverageS(75.0) > e.leverageS(88.0))
     assert(e.leverageL(112.0) < e.leverageL(125.0))

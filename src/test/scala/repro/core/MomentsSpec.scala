@@ -49,13 +49,13 @@ class MomentsSpec extends SparkSpec {
 
   test("fromSamples routes S and L and drops TS/N/TL (Algorithm 1)") {
     val samples = Seq(10.0, 70.0, 100.0, 120.0, 150.0, 80.0, 130.0)
-    val (s, l) = Moments.fromSamples(samples, bounds)
+    val (s, l) = ReferenceMoments.fromSamples(samples, bounds)
     assert(s == RegionMoments.of(Seq(70.0, 80.0)))
     assert(l == RegionMoments.of(Seq(120.0, 130.0)))
   }
 
   test("fromSamples with no qualifying samples yields empty moments") {
-    val (s, l) = Moments.fromSamples(Seq(100.0, 100.0, 10.0), bounds)
+    val (s, l) = ReferenceMoments.fromSamples(Seq(100.0, 100.0, 10.0), bounds)
     assert(s == RegionMoments.empty && l == RegionMoments.empty)
   }
 
@@ -77,7 +77,7 @@ class MomentsSpec extends SparkSpec {
     val sizes = Moments.blockSizes(df)
     val got = Moments.collect(df, "value", 1.0, bounds, sizes, seed = 9L)
     (0L until 4L).foreach { b =>
-      val expected = Moments.fromSamples(rows.filter(_._2 == b).map(_._1), bounds)
+      val expected = ReferenceMoments.fromSamples(rows.filter(_._2 == b).map(_._1), bounds)
       val bm = got.find(_.block == b).get
       assert(bm.blockSize == rows.count(_._2 == b))
       assert(bm.s.n == expected._1.n && bm.l.n == expected._2.n, s"block $b counts")

@@ -170,11 +170,19 @@ class SampleAggSpec extends SparkSpec {
     try {
       df.count()
       sc.setJobDescription("caller")
-      val (descriptions, _) = logJobs {
-        Isla.run(df, "value", IslaParams(e = 1.0))
-        sc.parallelize(Seq(1)).count()
+      val p = IslaParams(e = 1.0)
+      val calls = Seq[(() => Any, Seq[String])](
+        (() => Isla.run(df, "value", p), Seq("ISLA σ pilot", "ISLA sketch₀", "ISLA moments")),
+        (() => IslaNonIid.run(df, "value", p),
+          Seq("ISLA non-i.i.d. σ pilot", "ISLA non-i.i.d. sketch₀", "ISLA non-i.i.d. moments")),
+      )
+      calls.foreach { case (call, phases) =>
+        val (descriptions, _) = logJobs {
+          call()
+          sc.parallelize(Seq(1)).count()
+        }
+        assert(descriptions == "ISLA block sizes" +: phases :+ "caller")
       }
-      assert(descriptions == Seq("ISLA block sizes", "ISLA σ pilot", "ISLA sketch₀", "ISLA moments", "caller"))
     } finally { sc.setJobDescription(null); df.unpersist(); () }
   }
 }
