@@ -52,8 +52,8 @@ object IslaNonIid {
 
     val pres = preEstimate(df, valueCol, blockSizes, p, blockCol, seed)
 
-    // Overall rate from the pooled dispersion (upper bound of block σs is a
-    // faithful stand-in for the pooled pilot σ — it only scales r).
+    // Overall rate from the pooled σ: the size-weighted mixture of each
+    // block's σⱼ and sketch₀ⱼ (law of total variance: E[σⱼ²] + Var[sketch₀ⱼ]).
     val pooledSigma = math.sqrt(
       pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + pr.sketch0 * pr.sketch0)).sum / m
         - math.pow(pres.map(pr => pr.size.toDouble * pr.sketch0).sum / m, 2)

@@ -51,18 +51,17 @@ final case class BlockResult(
   * i.e. λ_geom = |κ| in §V-D's rule. For the paper's p₁=0.5, p₂=2 this
   * gives κ ≈ −0.238: sketch closes ~80% of the gap, μ̂ ~19% — matching
   * the paper's own Table IV partials (≈ c with slight modulation), which
-  * a fixed λ=0.8 chase cannot produce. `geometricLambda = false`
-  * restores the literal fixed-λ steps of §V-C for ablation:
-  *
-  *  - Case 1: (+P/(1−λ), +λP/(1−λ))   — μ̂ chases from below, sketch follows
-  *  - Case 2: (+λP/(1+λ), −P/(1+λ))   — estimators close from both sides
-  *  - Case 3: (+λP/(1−λ), +P/(1−λ))   — sketch chases from below, μ̂ leads
-  *  - Case 4: (−P/(1−λ), −λP/(1−λ))   — both fall, μ̂ falls more (α<0)
+  * a fixed λ=0.8 chase cannot produce.
   *
   * Cases 1 and 4 (contradictory evidence → unbalanced sampling, rare per
-  * §V-C) always use the literal fixed-λ steps. α advances by Δμ̂/k and is
-  * clamped to |α| ≤ 1, the validity range Eq. 2 imposes on the
-  * re-weighted probabilities (case 4's small negative α included).
+  * §V-C) use §V-C's literal fixed-λ steps, with P = (1−η)|D|:
+  *
+  *  - Case 1: (+P/(1−λ), +λP/(1−λ))   — μ̂ chases from below, sketch follows
+  *  - Case 4: (−P/(1−λ), −λP/(1−λ))   — both fall, μ̂ falls more (α<0)
+  *
+  * α advances by Δμ̂/k and is clamped to |α| ≤ 1, the validity range
+  * Eq. 2 imposes on the re-weighted probabilities (case 4's small
+  * negative α included).
   */
 object Modulation {
 
@@ -90,15 +89,11 @@ object Modulation {
   /** Signed per-iteration steps (Δμ̂, Δsketch) for the current D. */
   def step(d: Double, modCase: ModulationCase, p: IslaParams): (Double, Double) = {
     val pAmt = (1.0 - p.eta) * math.abs(d)
-    val geom = p.geometricLambda &&
-      (modCase == ModulationCase.Case2 || modCase == ModulationCase.Case3)
-    if (geom) {
-      val k = kappa(p.p1, p.p2)
-      ((1.0 - p.eta) * d * k / (1.0 - k), (1.0 - p.eta) * d / (1.0 - k))
-    } else modCase match {
+    modCase match {
       case ModulationCase.Case1 => (pAmt / (1 - p.lambda), p.lambda * pAmt / (1 - p.lambda))
-      case ModulationCase.Case2 => (p.lambda * pAmt / (1 + p.lambda), -pAmt / (1 + p.lambda))
-      case ModulationCase.Case3 => (p.lambda * pAmt / (1 - p.lambda), pAmt / (1 - p.lambda))
+      case ModulationCase.Case2 | ModulationCase.Case3 =>
+        val k = kappa(p.p1, p.p2)
+        ((1.0 - p.eta) * d * k / (1.0 - k), (1.0 - p.eta) * d / (1.0 - k))
       case ModulationCase.Case4 => (-pAmt / (1 - p.lambda), -p.lambda * pAmt / (1 - p.lambda))
       case ModulationCase.Case5 => (0.0, 0.0)
     }
@@ -162,10 +157,7 @@ object Modulation {
     }
     // §VII-B: sketch₀'s relaxed confidence interval is a modulation
     // boundary — the answer "could not be far away from it".
-    val raw = form.muHat(alpha)
-    val avg =
-      if (p.clampPartials) math.max(sketch0 - p.te * p.e, math.min(sketch0 + p.te * p.e, raw))
-      else raw
+    val avg = math.max(sketch0 - p.te * p.e, math.min(sketch0 + p.te * p.e, form.muHat(alpha)))
     BlockResult(bm.block, bm.blockSize, avg, modCase,
       alpha = alpha, q = q, dev = dev, d0 = d0, iterations = iters, sketchFinal = sketch)
   }

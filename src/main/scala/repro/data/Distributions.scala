@@ -63,14 +63,9 @@ object Distributions {
     require(specs.nonEmpty, "need at least one block spec")
     val base = blocked(spark, perBlock * specs.size, specs.size, lit(0.0))
       .select(col("block"), stdNormal(seed * 2 + 700).as("z"))
-    val mu = specs.zipWithIndex.tail.foldLeft(
-      when(col("block") === 0, specs.head._1)) {
-        case (acc, ((m, _), j)) => acc.when(col("block") === j, m)
-      }.otherwise(lit(0.0))
-    val sd = specs.zipWithIndex.tail.foldLeft(
-      when(col("block") === 0, specs.head._2)) {
-        case (acc, ((_, s), j)) => acc.when(col("block") === j, s)
-      }.otherwise(lit(0.0))
+    val spec = (col("block") + 1).cast("int") // element_at is 1-based
+    val mu = element_at(typedLit(specs.map(_._1)), spec)
+    val sd = element_at(typedLit(specs.map(_._2)), spec)
     base.select((mu + sd * col("z")).as("value"), col("block"))
   }
 

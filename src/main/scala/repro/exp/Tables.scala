@@ -1,9 +1,9 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.baselines.{MeasureBiased, StratifiedSampling, UniformSampling}
-import repro.core.{Isla, IslaNonIid, IslaParams, Moments}
+import repro.baselines.{BaselineResult, MeasureBiased, StratifiedSampling, UniformSampling}
+import repro.core.{Isla, IslaNonIid, IslaParams, IslaResult, Moments}
 import repro.data.Distributions
 
 /** A rendered experiment table: the same rows the paper reports. */
@@ -36,12 +36,8 @@ final case class ExpTable(
 object Tables {
 
   /** Shared per-dataset comparison: ISLA vs MV vs MVB at a common rate. */
-  private def compareIslaMvMvb(
-      spark: SparkSession,
-      df: org.apache.spark.sql.DataFrame,
-      p: IslaParams,
-      seed: Long,
-  ): (Double, Double, Double) = {
+  private def compareIslaMvMvb(df: DataFrame, p: IslaParams,
+                               seed: Long): (IslaResult, BaselineResult, BaselineResult) = {
     val cached = df.cache()
     try {
       val sizes = Moments.blockSizes(cached)
@@ -49,7 +45,7 @@ object Tables {
       val rFull = math.min(1.0, isla.rate / p.rateFraction)
       val mv = MeasureBiased.runMV(cached, "value", rFull, seed = seed + 31)
       val mvb = MeasureBiased.runMVB(cached, "value", rFull, p, Some(sizes), seed = seed + 61)
-      (isla.answer, mv.answer, mvb.answer)
+      (isla, mv, mvb)
     } finally { cached.unpersist(); () }
   }
 
@@ -58,16 +54,16 @@ object Tables {
                p: IslaParams = IslaParams(), baseSeed: Long = 100L): ExpTable = {
     val results = (1 to nDatasets).map { i =>
       val df = Distributions.normal(spark, rowsPerDataset, 100.0, 20.0, 10, baseSeed + i)
-      compareIslaMvMvb(spark, df, p, baseSeed * 10 + i)
+      compareIslaMvMvb(df, p, baseSeed * 10 + i)
     }
     def withAvg(vs: Seq[Double]) = vs :+ vs.sum / vs.size
     ExpTable(
       "Table III — accuracy, N(100,20^2), desired precision 0.1",
       (1 to nDatasets).map("ds" + _) :+ "Average",
       Seq(
-        "ISLA" -> withAvg(results.map(_._1)),
-        "MV"   -> withAvg(results.map(_._2)),
-        "MVB"  -> withAvg(results.map(_._3)),
+        "ISLA" -> withAvg(results.map(_._1.answer)),
+        "MV"   -> withAvg(results.map(_._2.answer)),
+        "MVB"  -> withAvg(results.map(_._3.answer)),
       ),
       Seq(s"M=$rowsPerDataset per dataset, b=10, accurate answer = 100"),
     )
@@ -76,25 +72,18 @@ object Tables {
   /** Table IV: per-block partial answers (modulation abilities) on one dataset. */
   def tableIV(spark: SparkSession, rowsPerDataset: Long = 1000000L,
               p: IslaParams = IslaParams(), seed: Long = 101L): ExpTable = {
-    val df = Distributions.normal(spark, rowsPerDataset, 100.0, 20.0, 10, seed).cache()
-    try {
-      val sizes = Moments.blockSizes(df)
-      val isla = Isla.run(df, "value", p, Some(sizes), seed = seed * 10)
-      val rFull = math.min(1.0, isla.rate / p.rateFraction)
-      val mv = MeasureBiased.runMV(df, "value", rFull, seed = seed * 10 + 31)
-      val mvb = MeasureBiased.runMVB(df, "value", rFull, p, Some(sizes), seed = seed * 10 + 61)
-      val b = isla.blocks.size
-      ExpTable(
-        "Table IV — partial (per-block) answers, Dataset 1",
-        (1 to b).map("B" + _) :+ "Average",
-        Seq(
-          "ISLA" -> (isla.partials :+ isla.answer),
-          "MV"   -> (mv.partials.map(_._2) :+ mv.answer),
-          "MVB"  -> (mvb.partials.map(_._2) :+ mvb.answer),
-        ),
-        Seq(f"sketch0 = ${isla.sketch0}%.4f (paper run: 99.676), accurate = 100"),
-      )
-    } finally { df.unpersist(); () }
+    val df = Distributions.normal(spark, rowsPerDataset, 100.0, 20.0, 10, seed)
+    val (isla, mv, mvb) = compareIslaMvMvb(df, p, seed * 10)
+    ExpTable(
+      "Table IV — partial (per-block) answers, Dataset 1",
+      (1 to isla.blocks.size).map("B" + _) :+ "Average",
+      Seq(
+        "ISLA" -> (isla.partials :+ isla.answer),
+        "MV"   -> (mv.partials.map(_._2) :+ mv.answer),
+        "MVB"  -> (mvb.partials.map(_._2) :+ mvb.answer),
+      ),
+      Seq(f"sketch0 = ${isla.sketch0}%.4f (paper run: 99.676), accurate = 100"),
+    )
   }
 
   /** Table V: ISLA at r/3 vs US and STS at r, 5 datasets, e=0.5. */
@@ -130,16 +119,16 @@ object Tables {
               p: IslaParams = IslaParams(), baseSeed: Long = 300L): ExpTable = {
     val results = gammas.zipWithIndex.map { case (g, i) =>
       val df = Distributions.exponential(spark, rowsPerDataset, g, 10, baseSeed + i)
-      compareIslaMvMvb(spark, df, p, baseSeed * 10 + i)
+      compareIslaMvMvb(df, p, baseSeed * 10 + i)
     }
     ExpTable(
       "Table VI — exponential distributions",
       gammas.map(g => s"gamma=$g"),
       Seq(
         "Accurate" -> gammas.map(1.0 / _),
-        "ISLA" -> results.map(_._1),
-        "MV"   -> results.map(_._2),
-        "MVB"  -> results.map(_._3),
+        "ISLA" -> results.map(_._1.answer),
+        "MV"   -> results.map(_._2.answer),
+        "MVB"  -> results.map(_._3.answer),
       ),
     )
   }
@@ -150,15 +139,15 @@ object Tables {
     val p = IslaParams(e = e)
     val results = (1 to nDatasets).map { i =>
       val df = Distributions.uniformRange(spark, rowsPerDataset, 1.0, 199.0, 10, baseSeed + i)
-      compareIslaMvMvb(spark, df, p, baseSeed * 10 + i)
+      compareIslaMvMvb(df, p, baseSeed * 10 + i)
     }
     ExpTable(
       "Table VII — uniform distribution on [1,199]",
       (1 to nDatasets).map("ds" + _),
       Seq(
-        "ISLA" -> results.map(_._1),
-        "MV"   -> results.map(_._2),
-        "MVB"  -> results.map(_._3),
+        "ISLA" -> results.map(_._1.answer),
+        "MV"   -> results.map(_._2.answer),
+        "MVB"  -> results.map(_._3.answer),
       ),
       Seq("accurate answer = 100; e=0.5 here (paper default e=0.1 needs m>M at container scale, see EXPERIMENTS.md)"),
     )
@@ -204,7 +193,7 @@ object Tables {
     * 10 000 for ISLA (half), via `rateOverride`.
     */
   def realData(spark: SparkSession, baseSeed: Long = 700L): Seq[ExpTable] = {
-    def one(name: String, df: org.apache.spark.sql.DataFrame, seed: Long): ExpTable = {
+    def one(name: String, df: DataFrame, seed: Long): ExpTable = {
       val cached = df.cache()
       try {
         val sizes = Moments.blockSizes(cached)

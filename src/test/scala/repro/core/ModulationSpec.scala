@@ -73,8 +73,6 @@ class ModulationSpec extends AnyFunSuite {
 
   // ---- step lengths (§V-C relations + §V-D λ rule) ----
 
-  private val literal = p.copy(geometricLambda = false)
-
   private def checkStep(d: Double, c: ModulationCase, pp: IslaParams,
                         expectedLambda: Double): (Double, Double) = {
     val (dMu, dSk) = Modulation.step(d, c, pp)
@@ -117,16 +115,6 @@ class ModulationSpec extends AnyFunSuite {
     assert(dMu < 0 && dSk > 0 && math.abs(dMu) < math.abs(dSk))
   }
 
-  test("Case 2 literal steps: μ̂ rises slightly, sketch falls, |Δsketch| larger") {
-    val (dMu, dSk) = checkStep(-0.4, ModulationCase.Case2, literal, p.lambda)
-    assert(dMu > 0 && dSk < 0 && math.abs(dMu) < math.abs(dSk))
-  }
-
-  test("Case 3 literal steps: both rise, sketch rises more (kδα < δsketch)") {
-    val (dMu, dSk) = checkStep(0.4, ModulationCase.Case3, literal, p.lambda)
-    assert(dMu > 0 && dSk > 0 && dMu < dSk)
-  }
-
   test("Case 4 steps (always literal): both fall, μ̂ falls more") {
     val (dMu, dSk) = checkStep(0.4, ModulationCase.Case4, p, p.lambda)
     assert(dMu < 0 && dSk < 0 && math.abs(dMu) > math.abs(dSk))
@@ -157,7 +145,7 @@ class ModulationSpec extends AnyFunSuite {
   // ---- iteration bound (§VI-B) ----
 
   test("iteration bound t = ⌈log₂(|D⁰|/thr)⌉ with η = 1/2") {
-    val pp = IslaParams(e = 0.1, thrFraction = 0.1) // thr = 0.01
+    val pp = IslaParams(e = 0.02) // thr = e/2 = 0.01
     assert(Modulation.iterationBound(0.08, pp) == 3)  // 0.08→0.04→0.02→0.01
     assert(Modulation.iterationBound(0.005, pp) == 0) // already below thr
     assert(Modulation.iterationBound(-0.32, pp) == 5)
@@ -202,20 +190,24 @@ class ModulationSpec extends AnyFunSuite {
     assert(math.abs(residual) <= p.thr + 1e-12)
   }
 
+  /** μ̂ = kα + c before the §VII-B clamp, recomputed from a solved block. */
+  private def unclampedMuHat(bm: BlockMoments, r: BlockResult): Double =
+    Leverage.kc(bm.s, bm.l, r.q).muHat(r.alpha)
+
   test("the two estimators converge: |μ̂ − sketch| ≤ thr after iteration (unclamped)") {
-    val pp = p.copy(clampPartials = false)
     val bm = mk(430, 500)
-    val r = Modulation.solveBlock(bm, 99.2, pp)
-    assert(math.abs(r.avg - r.sketchFinal) <= pp.thr + 1e-9,
-      s"avg=${r.avg} sketch=${r.sketchFinal}")
+    val r = Modulation.solveBlock(bm, 99.2, p)
+    val muHat = unclampedMuHat(bm, r)
+    assert(math.abs(muHat - r.sketchFinal) <= p.thr + 1e-9,
+      s"muHat=$muHat sketch=${r.sketchFinal}")
   }
 
   test("solved answer equals kα + c (Algorithm 2 line 12, unclamped)") {
-    val pp = p.copy(clampPartials = false)
     val bm = mk(430, 500)
-    val r = Modulation.solveBlock(bm, 99.2, pp)
-    val form = Leverage.kc(bm.s, bm.l, r.q)
-    assert(math.abs(r.avg - form.muHat(r.alpha)) < 1e-9)
+    val sketch0 = 99.2
+    val r = Modulation.solveBlock(bm, sketch0, p)
+    val clamped = math.max(sketch0 - p.te * p.e, math.min(sketch0 + p.te * p.e, unclampedMuHat(bm, r)))
+    assert(r.avg == clamped, s"avg=${r.avg} clamped kα + c=$clamped")
   }
 
   test("clamped partial stays inside sketch₀'s relaxed confidence interval (§VII-B)") {
@@ -243,9 +235,9 @@ class ModulationSpec extends AnyFunSuite {
   }
 
   test("iteration respects the maxIterations guard") {
-    val pp = p.copy(thrFraction = 1e-15, maxIterations = 7)
+    val pp = IslaParams(e = 1e-100) // thr far below what 200 halvings of D⁰ reach
     val r = Modulation.solveBlock(mk(400, 500), 99.0, pp)
-    assert(r.iterations == 7)
+    assert(r.iterations == pp.maxIterations && pp.maxIterations == 200)
   }
 
   test("Theorem 3 preconditions reject zero square sums") {

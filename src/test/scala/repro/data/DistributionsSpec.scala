@@ -82,17 +82,22 @@ class DistributionsSpec extends SparkSpec {
   }
 
   test("non-i.i.d. blocks follow their per-block specs") {
-    val df = Distributions.nonIidBlocks(spark, 30000L, Distributions.nonIidSpecs, seed = 11).cache()
-    try {
-      val got = df.groupBy("block")
-        .agg(avg("value").as("m"), stddev_samp("value").as("sd"))
-        .collect().map(r => r.getLong(0) -> (r.getDouble(1), r.getDouble(2))).toMap
-      Distributions.nonIidSpecs.zipWithIndex.foreach { case ((mu, sd), j) =>
-        val (gm, gsd) = got(j.toLong)
-        assert(math.abs(gm - mu) < sd / 10, s"block $j mean=$gm spec=$mu")
-        assert(math.abs(gsd - sd) < sd / 10, s"block $j sd=$gsd spec=$sd")
-      }
-    } finally { df.unpersist(); () }
+    val oneSpec = Seq((40.0, 5.0))
+    val sevenSpecs = Distributions.nonIidSpecs ++ Seq((10.0, 2.0), (300.0, 90.0))
+    Seq(Distributions.nonIidSpecs, oneSpec, sevenSpecs).foreach { specs =>
+      val df = Distributions.nonIidBlocks(spark, 30000L, specs, seed = 11).cache()
+      try {
+        val got = df.groupBy("block")
+          .agg(avg("value").as("m"), stddev_samp("value").as("sd"))
+          .collect().map(r => r.getLong(0) -> (r.getDouble(1), r.getDouble(2))).toMap
+        assert(got.keySet == specs.indices.map(_.toLong).toSet, s"blocks=${got.keySet}")
+        specs.zipWithIndex.foreach { case ((mu, sd), j) =>
+          val (gm, gsd) = got(j.toLong)
+          assert(math.abs(gm - mu) < sd / 10, s"${specs.size} specs, block $j mean=$gm spec=$mu")
+          assert(math.abs(gsd - sd) < sd / 10, s"${specs.size} specs, block $j sd=$gsd spec=$sd")
+        }
+      } finally { df.unpersist(); () }
+    }
   }
 
   test("non-i.i.d. global mean is the block-mean average (equal blocks)") {
