@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
-import repro.core.{Boundaries, IslaParams, Moments, PreEstimation, SampleAgg}
+import repro.core.{Boundaries, IslaParams, PreEstimation, SampleAgg}
 
 /** The measure-biased comparators of §VIII-C, re-implemented from the
   * paper's definitions (the sample+seek originals are closed source).
@@ -50,9 +50,7 @@ object MeasureBiased {
              sizes: Option[Map[Long, Long]] = None,
              blockCol: String = "block", seed: Long = 19L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
-    val m = blockSizes.values.sum
-    val pre = PreEstimation.run(df, valueCol, m, p, seed)
+    val (_, pre) = PreEstimation.pooled(df, valueCol, sizes, p, blockCol, seed)
     val bounds = Boundaries(pre.sketch0, pre.sigma, p.p1, p.p2)
 
     val blocks = SampleAgg.run(df, col(blockCol), col(valueCol), "MVB", seed + 2, _ => rate, _ => Some(bounds))

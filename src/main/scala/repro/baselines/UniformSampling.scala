@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
-import repro.core.{Moments, SampleAgg}
+import repro.core.SampleAgg
 
 /** Result of a baseline estimator: the final answer and the per-block
   * partial answers (Table IV reports partials for the comparators too).
@@ -43,10 +43,11 @@ object StratifiedSampling {
           sizes: Option[Map[Long, Long]] = None,
           blockCol: String = "block", seed: Long = 13L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
+    val samples = SampleAgg.run(df, col(blockCol), col(valueCol), "STS", seed, _ => rate)
+    // Without sizes, the pass's own row counts are the strata sizes.
+    val blockSizes = sizes.getOrElse(samples.map { case (b, s) => b -> s.rows })
     val m = blockSizes.values.sum
-    val means = SampleAgg.run(df, col(blockCol), col(valueCol), "STS", seed, _ => rate)
-      .collect { case (b, s) if s.n > 0 => b -> s.avg }
+    val means = samples.collect { case (b, s) if s.n > 0 => b -> s.avg }
     val partials = blockSizes.keys.toSeq.sorted.map { b =>
       // A stratum whose sample is empty contributes its size with the
       // overall sampled mean (no information → no correction).

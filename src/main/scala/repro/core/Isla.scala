@@ -43,7 +43,7 @@ object Isla {
     * @param df       input with `valueCol` (numeric) and `blockCol` (block id)
     * @param valueCol aggregation column
     * @param p        algorithm parameters (paper defaults)
-    * @param sizes    optional precomputed block sizes (metadata); computed if absent
+    * @param sizes    optional precomputed block sizes (metadata); counted by the σ pilot if absent
     * @param seed     RNG seed; the pilots use seed and seed+1, the main pass seed+2
     */
   def run(
@@ -54,13 +54,10 @@ object Isla {
       blockCol: String = "block",
       seed: Long = 7L,
   ): IslaResult = {
-    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
-    val m = blockSizes.values.sum
-    require(m > 0, "empty input")
-
-    val pre = PreEstimation.run(df, valueCol, m, p, seed)
+    val (blockSizes, pre) = PreEstimation.pooled(df, valueCol, sizes, p, blockCol, seed)
+    val m = pre.size
     val rate = p.rateOverride.getOrElse {
-      if (pre.sigma <= 0) math.min(1.0, p.sigmaPilot.toDouble / m) // constant data
+      if (pre.sigma <= 0) SampleAgg.pilotRate(p.sigmaPilot, m) // constant data
       else math.min(1.0, SampleSize.samplingRate(pre.sigma, p.e, p.beta, m) * p.rateFraction)
     }
     val (answer, shift, blocks) =

@@ -17,6 +17,8 @@ import org.apache.spark.sql.functions.col
   */
 object IslaNonIid {
 
+  private val label = "ISLA non-i.i.d."
+
   /** Per-block [[PreEstimation]]: σⱼ and pilot minⱼ from a pilot in
     * each block, then sketch₀ⱼ at the relaxed precision t_e·e.
     */
@@ -28,7 +30,7 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): Seq[BlockPre] =
-    PreEstimation.perBlock(df, col(blockCol), valueCol, sizes, p, seed, "ISLA non-i.i.d.")
+    PreEstimation.perBlock(df, col(blockCol), valueCol, Some(sizes), pooled = false, p, seed, label)._2
 
   /** Block leverage `blevⱼ = (1+σⱼ²)/(b+Σσᵢ²)` (§VII-C). */
   def blockLeverages(pres: Seq[BlockPre]): Map[Long, Double] = {
@@ -46,11 +48,10 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): IslaResult = {
-    val blockSizes = sizes.getOrElse(Moments.blockSizes(df, blockCol))
+    // Without sizes, the σ pilots count the blocks' rows.
+    val (blockSizes, pres) =
+      PreEstimation.perBlock(df, col(blockCol), valueCol, sizes, pooled = false, p, seed, label)
     val m = blockSizes.values.sum
-    require(m > 0, "empty input")
-
-    val pres = preEstimate(df, valueCol, blockSizes, p, blockCol, seed)
 
     // Overall rate from the pooled σ: the size-weighted mixture of each
     // block's σⱼ and sketch₀ⱼ (law of total variance: E[σⱼ²] + Var[sketch₀ⱼ]).
@@ -64,7 +65,7 @@ object IslaNonIid {
     val blev = blockLeverages(pres)
     val rates = blockSizes.map { case (b, n) => b -> math.min(1.0, r * m * blev(b) / n) }
     val (answer, shift, blocks) = Isla.calculate(df, valueCol, blockCol, blockSizes,
-      pres.map(pr => pr.block -> pr).toMap, rates.getOrElse(_, 0.0), p, seed, "ISLA non-i.i.d.")
+      pres.map(pr => pr.block -> pr).toMap, rates.getOrElse(_, 0.0), p, seed, label)
     IslaResult(answer, Double.NaN, pooledSigma, r, m, shift, blocks)
   }
 }

@@ -40,8 +40,11 @@ final case class BlockMoments(block: Long, blockSize: Long, s: RegionMoments, l:
   */
 object Moments {
 
-  /** Exact block sizes `|Bⱼ|`, null values included (the paper reads these
-    * from metadata; one counting pass stands in for the metadata lookup).
+  /** Exact block sizes `|Bⱼ|`, null values included, rows with a null
+    * block id skipped, by one counting pass. The paper reads these from
+    * metadata; no query calls this, since a query given no sizes has its σ
+    * pilot count them ([[SampleAgg.pilot]]). The experiment harnesses use
+    * it to pass sizes as metadata.
     */
   def blockSizes(df: DataFrame, blockCol: String = "block"): Map[Long, Long] =
     SampleAgg.run(df, col(blockCol), lit(0.0), "ISLA block sizes", seed = 0L, rate = _ => 0.0)

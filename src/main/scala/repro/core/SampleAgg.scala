@@ -1,6 +1,9 @@
 package repro.core
 
+import java.util.Arrays
+
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.expressions.Rand
@@ -66,13 +69,17 @@ final class BlockSample(regionCount: Int) extends Serializable {
   */
 object SampleAgg {
 
+  /** The σ pilot's rate in a group of `n` rows: min(1, k/n). */
+  private[core] def pilotRate(k: Int, n: Long): Double = math.min(1.0, k.toDouble / n)
+
   /** Runs one pass and returns what it learned per block.
     *
     * Every row draws from `XORShiftRandom(seed + partition)`, the
     * generator of `rand(seed)`, and is sampled when the draw is below its
     * block's rate: a fixed seed samples exactly the rows
     * `where(rand(seed) < rate)` keeps. Sampled non-null values, plus
-    * `shift`, are split by the block's boundaries, if any.
+    * `shift`, are split by the block's boundaries, if any. Rows whose
+    * block id is null are skipped.
     *
     * @param block  block id (cast to long); a constant pools the input
     * @param value  aggregation column (cast to double)
@@ -90,43 +97,172 @@ object SampleAgg {
       bounds: Long => Option[Boundaries] = _ => None,
       shift: Double = 0.0,
   ): Map[Long, BlockSample] = {
-    val rdd = df.select(block.cast("long"), value.cast("double")).queryExecution.toRdd
-    val sc = df.sparkSession.sparkContext
-    val outer = sc.getLocalProperty("spark.job.description")
-    sc.setJobDescription(label)
-    val parts = try rdd.mapPartitionsWithIndex { (part, rows) =>
-      val rng = Rand(seed)
-      rng.initialize(part)
-      val seen = mutable.LongMap.empty[Slot]
-      var cur: Slot = null
-      var curBlock = 0L
-      while (rows.hasNext) {
-        val row = rows.next()
-        val u = rng.eval(null).asInstanceOf[Double] // every row draws, as `rand(seed)` does
-        if (!row.isNullAt(0)) {
-          val b = row.getLong(0)
-          if (cur == null || b != curBlock) {
-            curBlock = b
-            cur = seen.getOrElseUpdate(b, Slot(rate(b), bounds(b)))
-          }
-          cur.sample.rows += 1
-          if (u < cur.rate && !row.isNullAt(1)) {
-            val a = row.getDouble(1) + shift
-            cur.sample.add(a, cur.bounds.fold(0)(_.classify(a).index))
-          }
-        }
+    val parts = scan(df, block, value, label, seed, shift) { () =>
+      new Partition[Fixed, Array[(Long, BlockSample)]] {
+        val unkeyed = new Fixed(0.0, None)
+        def slot(b: Long) = new Fixed(rate(b), bounds(b))
+        def result() = blocks.iterator.map { case (b, s) => s.sample.rows = s.rows; b -> s.sample }.toArray
       }
-      Iterator.single(seen.iterator.map { case (b, slot) => b -> slot.sample }.toArray)
-    }.collect()
-    finally sc.setJobDescription(outer)
-
+    }
     val merged = mutable.LongMap.empty[BlockSample]
     for (part <- parts; (b, s) <- part) merged.getOrElseUpdate(b, new BlockSample(s.regions.length)).merge(s)
     merged.toMap
   }
 
-  /** A block's parameters in one partition, looked up on its first row. */
-  private final case class Slot(rate: Double, bounds: Option[Boundaries]) {
+  /** A σ pilot at rate [[pilotRate]]`(k, group size)` that also counts
+    * every block's rows, so the rate is resolved only after the pass. A
+    * group is one block, or with `pooled` the whole input as group 0
+    * (rows with a null block id included, as a constant `block` pools
+    * them in [[run]]). Each partition keeps the rows its groups could
+    * sample as [[Candidates]]; the driver replays them at the final rate
+    * in partition and row order, so the pilot equals [[run]] at that rate
+    * bit for bit.
+    *
+    * @return rows per block, as [[Moments.blockSizes]] counts them, and
+    *         the pilot per group
+    */
+  private[core] def pilot(df: DataFrame, block: Column, value: Column, label: String, seed: Long, k: Int,
+                          pooled: Boolean): (Map[Long, Long], Map[Long, BlockSample]) = {
+    val parts = scan(df, block, value, label, seed, 0.0)(() => new PilotPartition(k, pooled))
+    val sizes = mutable.LongMap.empty[Long]
+    for (part <- parts; (b, n) <- part.rows) sizes(b) = sizes.getOrElse(b, 0L) + n
+    val total = sizes.values.sum
+    val merged = mutable.LongMap.empty[BlockSample]
+    for (part <- parts; d <- part.drawn) {
+      val rate = pilotRate(k, if (pooled) total else sizes(d.group))
+      val s = new BlockSample(1)
+      s.rows = d.rows
+      d.us.indices.foreach(i => if (d.us(i) < rate) s.add(d.as(i), 0))
+      merged.getOrElseUpdate(d.group, new BlockSample(1)).merge(s)
+    }
+    (sizes.toMap, merged.toMap)
+  }
+
+  /** The one row loop: every row draws, goes to its block's slot (or the
+    * partition's slot for a null block id) and, when the draw is below the
+    * slot's rate and the value is not null, is taken by the slot.
+    */
+  private def scan[S <: Slot, R: ClassTag](df: DataFrame, block: Column, value: Column, label: String,
+                                           seed: Long, shift: Double)(open: () => Partition[S, R]): Array[R] = {
+    val rdd = df.select(block.cast("long"), value.cast("double")).queryExecution.toRdd
+    val sc = df.sparkSession.sparkContext
+    val outer = sc.getLocalProperty("spark.job.description")
+    sc.setJobDescription(label)
+    try rdd.mapPartitionsWithIndex { (part, rows) =>
+      val rng = Rand(seed)
+      rng.initialize(part)
+      val acc = open()
+      var cur: Slot = null
+      var curBlock = 0L
+      while (rows.hasNext) {
+        val row = rows.next()
+        val u = rng.eval(null).asInstanceOf[Double] // every row draws, as `rand(seed)` does
+        val slot = if (row.isNullAt(0)) acc.unkeyed else {
+          val b = row.getLong(0)
+          if (cur == null || b != curBlock) {
+            curBlock = b
+            cur = acc.blocks.getOrElseUpdate(b, acc.slot(b))
+          }
+          cur
+        }
+        slot.rows += 1
+        if (u < slot.rate && !row.isNullAt(1)) slot.take(u, row.getDouble(1) + shift)
+      }
+      Iterator.single(acc.result())
+    }.collect()
+    finally sc.setJobDescription(outer)
+  }
+
+  /** One partition's state: a slot per block id, one for null block ids. */
+  private abstract class Partition[S <: Slot, R] {
+    val blocks: mutable.LongMap[S] = mutable.LongMap.empty[S]
+    def unkeyed: Slot
+    def slot(b: Long): S
+    def result(): R
+  }
+
+  /** A block's rows in one partition; draws below `rate` are taken. */
+  private abstract class Slot {
+    var rows = 0L
+    var rate = 0.0
+    def take(u: Double, a: Double): Unit
+  }
+
+  /** A block sampled at a known rate, split by its boundaries, if any. */
+  private final class Fixed(r: Double, bounds: Option[Boundaries]) extends Slot {
+    rate = r
     val sample = new BlockSample(if (bounds.isEmpty) 1 else Region.all.size)
+    def take(u: Double, a: Double): Unit = sample.add(a, bounds.fold(0)(_.classify(a).index))
+  }
+
+  /** A block whose draws are offered to its pilot group's candidates. */
+  private final class Member(val group: Candidates) extends Slot {
+    rate = 1.0
+    def take(u: Double, a: Double): Unit = { group.offer(u, a); rate = group.bound }
+  }
+
+  /** A pilot group's candidates in one partition, in row order: the draw
+    * and value of each row drawn below `bound`, which is
+    * [[pilotRate]]`(k, rows its member blocks have seen)` as of the last
+    * trim. A group's size is at least that count and IEEE division is
+    * monotone, so the final rate is at most `bound` and the candidates
+    * hold every row it samples. Trims, when the buffer fills at 2k or more
+    * and at the partition's end, keep it O(k).
+    */
+  private final class Candidates(k: Int) {
+    val members = mutable.ArrayBuffer.empty[Slot]
+    var bound = 1.0
+    private var us = new Array[Double](16)
+    private var as = new Array[Double](16)
+    private var size = 0
+
+    def offer(u: Double, a: Double): Unit = {
+      if (size == us.length) {
+        if (size >= 2 * k) trim()
+        if (2 * size > us.length) { us = Arrays.copyOf(us, 2 * us.length); as = Arrays.copyOf(as, us.length) }
+      }
+      if (u < bound) { us(size) = u; as(size) = a; size += 1 }
+    }
+
+    private def trim(): Unit = {
+      bound = pilotRate(k, members.iterator.map(_.rows).sum)
+      var kept = 0
+      for (i <- 0 until size if us(i) < bound) { us(kept) = us(i); as(kept) = as(i); kept += 1 }
+      size = kept
+    }
+
+    /** The candidates at the partition's end, as group `group` of `rows` rows. */
+    def drawn(group: Long, rows: Long): Drawn = {
+      trim()
+      Drawn(group, rows, Arrays.copyOf(us, size), Arrays.copyOf(as, size))
+    }
+  }
+
+  /** A partition's pilot: its rows per block and each group's rows and
+    * candidates (draws `us`, values `as`).
+    */
+  private final case class PilotPart(rows: Array[(Long, Long)], drawn: Array[Drawn])
+  private final case class Drawn(group: Long, rows: Long, us: Array[Double], as: Array[Double])
+
+  /** A pilot pass's partition: each block's slot offers its draws to its
+    * own candidates or, when `pooled`, to the partition's shared ones.
+    */
+  private final class PilotPartition(k: Int, pooled: Boolean) extends Partition[Member, PilotPart] {
+    private val all = new Candidates(k)
+    val unkeyed: Slot = if (pooled) new Member(all) else new Fixed(0.0, None)
+    def slot(b: Long): Member = {
+      val m = new Member(if (pooled) all else new Candidates(k))
+      m.group.members += m
+      m
+    }
+    def result(): PilotPart = {
+      val drawn =
+        if (!pooled) blocks.iterator.map { case (b, m) => m.group.drawn(b, m.rows) }.toArray
+        else {
+          val rows = unkeyed.rows + blocks.valuesIterator.map(_.rows).sum
+          if (rows == 0) Array.empty[Drawn] else Array(all.drawn(0L, rows))
+        }
+      PilotPart(blocks.iterator.map { case (b, m) => b -> m.rows }.toArray, drawn)
+    }
   }
 }

@@ -66,6 +66,16 @@ class IslaNonIidSpec extends SparkSpec {
     } finally { df.unpersist(); () }
   }
 
+  test("empty input is rejected with and without sizes") {
+    import spark.implicits._
+    val empty = Distributions.nonIidBlocks(spark, 1L, Distributions.nonIidSpecs, seed = 71).limit(0)
+    val nullBlocks = Seq((1.0, None: Option[Long]), (2.0, None)).toDF("value", "block")
+    for (df <- Seq(empty, nullBlocks); sizes <- Seq(None, Some(Map.empty[Long, Long]))) {
+      val e = intercept[IllegalArgumentException](IslaNonIid.run(df, "value", IslaParams(e = 1.0), sizes))
+      assert(e.getMessage.endsWith("empty input"), e.getMessage)
+    }
+  }
+
   test("rateOverride is honored in the non-i.i.d. path") {
     val df = Distributions.nonIidBlocks(spark, 10000L, Distributions.nonIidSpecs.take(2), seed = 69).cache()
     try {

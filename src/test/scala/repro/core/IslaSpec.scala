@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.baselines.{BaselineResult, MeasureBiased, StratifiedSampling}
 import repro.data.Distributions
 
 /** End-to-end ISLA tests on small blocked data. */
@@ -178,13 +179,35 @@ class IslaSpec extends SparkSpec {
   }
 
   test("precomputed block sizes give the same result as computed ones") {
-    val df = Distributions.normal(spark, 50000L, 100.0, 20.0, 5, seed = 31).cache()
-    try {
-      val sizes = Moments.blockSizes(df)
-      val a = Isla.run(df, "value", p, Some(sizes), seed = 42)
-      val b = Isla.run(df, "value", p, None, seed = 42)
-      assert(a.answer == b.answer)
-    } finally { df.unpersist(); () }
+    // Field for field, every BlockResult included; IslaNonIid's sketch0 is NaN.
+    def same(a: IslaResult, b: IslaResult) = a.copy(sketch0 = 0.0) == b.copy(sketch0 = 0.0) && a.sketch0.equals(b.sketch0)
+    for (contiguous <- Seq(false, true)) {
+      val df = CountedInput(spark, contiguous).cache()
+      try {
+        assert(df.rdd.getNumPartitions >= 6)
+        val sizes = Moments.blockSizes(df)
+        val isla = Seq[Option[Map[Long, Long]] => IslaResult](
+          Isla.run(df, "value", p, _, seed = 42), IslaNonIid.run(df, "value", p, _, seed = 42))
+        isla.foreach { run =>
+          val (given, counted) = (run(Some(sizes)), run(None))
+          assert(given.shift > 0 && given.blocks.size == 6)
+          assert(same(given, counted), s"contiguous=$contiguous:\n$given\n$counted")
+        }
+        val baselines = Seq[Option[Map[Long, Long]] => BaselineResult](
+          MeasureBiased.runMVB(df, "value", 0.2, p, _, seed = 43), StratifiedSampling.run(df, "value", 0.2, _, seed = 44))
+        baselines.foreach(run => assert(run(Some(sizes)) == run(None), s"contiguous=$contiguous"))
+      } finally { df.unpersist(); () }
+    }
+  }
+
+  test("empty input is rejected with and without sizes") {
+    import spark.implicits._
+    val empty = Distributions.normal(spark, 1L, 100, 20, 1, 29).limit(0)
+    val nullBlocks = Seq((1.0, None: Option[Long]), (2.0, None)).toDF("value", "block")
+    for (df <- Seq(empty, nullBlocks); sizes <- Seq(None, Some(Map.empty[Long, Long]))) {
+      val e = intercept[IllegalArgumentException](Isla.run(df, "value", p, sizes))
+      assert(e.getMessage.endsWith("empty input"), e.getMessage)
+    }
   }
 
   test("constant data return the constant") {

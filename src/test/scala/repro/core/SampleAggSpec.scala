@@ -116,6 +116,32 @@ class SampleAggSpec extends SparkSpec {
       "t" -> df)
   }
 
+  test("the σ pilot counts every block and equals the pass at its resolved rate, trimming many times") {
+    import spark.implicits._
+    val k = 5 // candidates are trimmed whenever 16 are buffered
+    def fields(s: BlockSample) = (s.rows, s.regions.toSeq, s.n, s.sd, s.min, s.avg)
+    for (contiguous <- Seq(false, true)) {
+      val df = CountedInput(spark, contiguous).cache()
+      try {
+        assert(df.rdd.getNumPartitions >= 6)
+        val (sizes, perBlock) = SampleAgg.pilot(df, col("block"), col("value"), "test", 15L, k, pooled = false)
+        Oracle.assertEquivalent(sizes.toSeq.toDF("block", "n"),
+          "SELECT block, count(*) AS n FROM t WHERE block IS NOT NULL GROUP BY block", "t" -> df)
+        assert(sizes == Moments.blockSizes(df))
+        val expected = SampleAgg.run(df, col("block"), col("value"), "test", 15L, b => SampleAgg.pilotRate(k, sizes(b)))
+        assert(perBlock.keySet == expected.keySet && perBlock.values.map(_.n).sum > 0)
+        expected.foreach { case (b, s) => assert(fields(perBlock(b)) == fields(s), s"block $b, contiguous=$contiguous") }
+
+        // Pooled: the count skips null block ids, the pilot still draws from them.
+        val (pooledSizes, pooled) = SampleAgg.pilot(df, col("block"), col("value"), "test", 16L, k, pooled = true)
+        assert(pooledSizes == sizes)
+        val all = SampleAgg.run(df, lit(0L), col("value"), "test", 16L, _ => SampleAgg.pilotRate(k, sizes.values.sum))
+        assert(pooled.keySet == Set(0L) && pooled(0L).n > 0)
+        assert(fields(pooled(0L)) == fields(all(0L)), s"contiguous=$contiguous")
+      } finally { df.unpersist(); () }
+    }
+  }
+
   /** Records the jobs submitted and the shuffle bytes written. */
   private final class JobLog extends SparkListener {
     val descriptions = mutable.ArrayBuffer.empty[String]
@@ -149,12 +175,15 @@ class SampleAggSpec extends SparkSpec {
       val p = IslaParams(e = 1.0)
       val calls = Seq[(String, Int, () => Any)](
         ("Isla.run with sizes", 3, () => Isla.run(df, "value", p, Some(sizes))),
-        ("Isla.run without sizes", 4, () => Isla.run(df, "value", p)),
+        ("Isla.run without sizes", 3, () => Isla.run(df, "value", p)),
         ("IslaNonIid.run", 3, () => IslaNonIid.run(df, "value", p, Some(sizes))),
+        ("IslaNonIid.run without sizes", 3, () => IslaNonIid.run(df, "value", p)),
         ("US", 1, () => UniformSampling.run(df, "value", 0.1)),
         ("STS", 1, () => StratifiedSampling.run(df, "value", 0.1, Some(sizes))),
+        ("STS without sizes", 1, () => StratifiedSampling.run(df, "value", 0.1)),
         ("MV", 1, () => MeasureBiased.runMV(df, "value", 0.1)),
         ("MVB with sizes", 3, () => MeasureBiased.runMVB(df, "value", 0.1, p, Some(sizes))),
+        ("MVB without sizes", 3, () => MeasureBiased.runMVB(df, "value", 0.1, p)),
       )
       calls.foreach { case (name, jobs, call) =>
         val (descriptions, shuffleBytes) = logJobs(call())
@@ -181,7 +210,7 @@ class SampleAggSpec extends SparkSpec {
           call()
           sc.parallelize(Seq(1)).count()
         }
-        assert(descriptions == "ISLA block sizes" +: phases :+ "caller")
+        assert(descriptions == phases :+ "caller")
       }
     } finally { sc.setJobDescription(null); df.unpersist(); () }
   }
