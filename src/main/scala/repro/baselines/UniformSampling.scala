@@ -48,6 +48,7 @@ object StratifiedSampling {
     val blockSizes = sizes.getOrElse(samples.map { case (b, s) => b -> s.rows })
     val m = blockSizes.values.sum
     val means = samples.collect { case (b, s) if s.n > 0 => b -> s.avg }
+    require(means.nonEmpty, "STS sample came back empty")
     val partials = blockSizes.keys.toSeq.sorted.map { b =>
       // A stratum whose sample is empty contributes its size with the
       // overall sampled mean (no information → no correction).

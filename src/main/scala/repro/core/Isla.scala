@@ -40,6 +40,12 @@ object Isla {
 
   /** Run ISLA on a blocked DataFrame.
     *
+    * The σ pilot (seed) is one scan. The Eq.-1 rate and the footnote-1
+    * shift follow from it, so sketch₀ (seed+1) and the moment pass
+    * (seed+2) share the second scan, unless the moment sample would
+    * exceed [[PreEstimation.fusedCap]]; then each is its own scan, with
+    * the same answer.
+    *
     * @param df       input with `valueCol` (numeric) and `blockCol` (block id)
     * @param valueCol aggregation column
     * @param p        algorithm parameters (paper defaults)
@@ -54,33 +60,35 @@ object Isla {
       blockCol: String = "block",
       seed: Long = 7L,
   ): IslaResult = {
-    val (blockSizes, pre) = PreEstimation.pooled(df, valueCol, sizes, p, blockCol, seed)
-    val m = pre.size
+    val pilot = PreEstimation.sigmaPilot(df, col(blockCol), valueCol, sizes, pooled = true, p, seed, "ISLA")
+    val m = pilot.groups(0L)
+    val sigma = pilot.sigma(0L)
     val rate = p.rateOverride.getOrElse {
-      if (pre.sigma <= 0) SampleAgg.pilotRate(p.sigmaPilot, m) // constant data
-      else math.min(1.0, SampleSize.samplingRate(pre.sigma, p.e, p.beta, m) * p.rateFraction)
+      if (sigma <= 0) SampleAgg.pilotRate(p.sigmaPilot, m) // constant data
+      else math.min(1.0, SampleSize.samplingRate(sigma, p.e, p.beta, m) * p.rateFraction)
     }
-    val (answer, shift, blocks) =
-      calculate(df, valueCol, blockCol, blockSizes, blockSizes.map(_._1 -> pre), _ => rate, p, seed, "ISLA")
-    IslaResult(answer, pre.sketch0, pre.sigma, rate, m, shift, blocks)
+    val (pres, answer, shift, blocks) = calculate(pilot, Left(_ => rate), p)
+    IslaResult(answer, pres.head.sketch0, sigma, rate, m, shift, blocks)
   }
 
-  /** Calculation and Summarization, shared by both pipelines: the
-    * footnote-1 shift from all pre-estimates, each block's boundaries from
-    * its pre-estimate on the shifted scale, one moment pass (Algorithm 1,
-    * seed+2) at each block's rate, modulation (Algorithm 2) and the
-    * size-weighted merge, shifted back. `label` prefixes the pass's job
-    * description. Returns the answer, the shift and the blocks.
+  /** Calculation and Summarization, shared by both pipelines: pass 2 of
+    * pre-estimation and one moment pass (Algorithm 1) at each block's
+    * `rate` ([[PreEstimation.SigmaPilot.withMoments]]), on the footnote-1
+    * shifted scale with each block's boundaries from its group's
+    * pre-estimate; then modulation (Algorithm 2) and the size-weighted
+    * merge, shifted back. Returns the pre-estimates, the answer, the shift
+    * and the blocks.
     */
-  private[core] def calculate(df: DataFrame, valueCol: String, blockCol: String, sizes: Map[Long, Long],
-                              pre: Map[Long, BlockPre], rate: Long => Double, p: IslaParams, seed: Long,
-                              label: String): (Double, Double, Seq[BlockResult]) = {
-    val lowest = pre.values.map(_.pilotMin).min
-    val shift = if (lowest <= 0) -lowest + math.max(pre.values.map(_.sigma).max, 1.0) else 0.0
-    val bounds = pre.map { case (b, pr) => b -> Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2) }
-    val samples = SampleAgg.run(df, col(blockCol), col(valueCol), s"$label moments", seed + 2, rate, bounds.get, shift)
-    val blocks = Moments.of(samples, sizes).map(bm => Modulation.solveBlock(bm, bounds(bm.block).sketch0, p))
-    (summarize(blocks) - shift, shift, blocks)
+  private[core] def calculate(pilot: PreEstimation.SigmaPilot,
+                              rate: Either[Long => Double, Seq[BlockPre] => Long => Double],
+                              p: IslaParams): (Seq[BlockPre], Double, Double, Seq[BlockResult]) = {
+    val shift = pilot.shift
+    val (pres, samples) =
+      pilot.withMoments(rate, shift, "moments")(pr => Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2))
+    val sketch0 = pres.map(pr => pr.block -> (pr.sketch0 + shift)).toMap
+    val blocks = Moments.of(samples, pilot.sizes)
+      .map(bm => Modulation.solveBlock(bm, sketch0(pilot.group(bm.block)), p))
+    (pres, summarize(blocks) - shift, shift, blocks)
   }
 
   /** Summarization module (§II-C): Σ avg_j·|Bⱼ| / M. */

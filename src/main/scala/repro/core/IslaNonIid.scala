@@ -30,13 +30,25 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): Seq[BlockPre] =
-    PreEstimation.perBlock(df, col(blockCol), valueCol, Some(sizes), pooled = false, p, seed, label)._2
+    PreEstimation.sigmaPilot(df, col(blockCol), valueCol, Some(sizes), pooled = false, p, seed, label).sketch0()
 
   /** Block leverage `blevⱼ = (1+σⱼ²)/(b+Σσᵢ²)` (§VII-C). */
   def blockLeverages(pres: Seq[BlockPre]): Map[Long, Double] = {
     val b = pres.size
     val sumVar = pres.map(pr => pr.sigma * pr.sigma).sum
     pres.map(pr => pr.block -> (1.0 + pr.sigma * pr.sigma) / (b + sumVar)).toMap
+  }
+
+  /** The pooled σ and the overall rate r from it (Eq. 1). The pooled σ is
+    * the size-weighted mixture of each block's σⱼ and sketch₀ⱼ (law of
+    * total variance: E[σⱼ²] + Var[sketch₀ⱼ]).
+    */
+  private def overallRate(pres: Seq[BlockPre], m: Long, p: IslaParams): (Double, Double) = {
+    val pooledSigma = math.sqrt(
+      pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + pr.sketch0 * pr.sketch0)).sum / m
+        - math.pow(pres.map(pr => pr.size.toDouble * pr.sketch0).sum / m, 2)
+    ).max(1e-9)
+    (pooledSigma, p.rateOverride.getOrElse(SampleSize.samplingRate(pooledSigma, p.e, p.beta, m) * p.rateFraction))
   }
 
   /** Run non-i.i.d. ISLA end to end. */
@@ -49,23 +61,16 @@ object IslaNonIid {
       seed: Long = 7L,
   ): IslaResult = {
     // Without sizes, the σ pilots count the blocks' rows.
-    val (blockSizes, pres) =
-      PreEstimation.perBlock(df, col(blockCol), valueCol, sizes, pooled = false, p, seed, label)
-    val m = blockSizes.values.sum
-
-    // Overall rate from the pooled σ: the size-weighted mixture of each
-    // block's σⱼ and sketch₀ⱼ (law of total variance: E[σⱼ²] + Var[sketch₀ⱼ]).
-    val pooledSigma = math.sqrt(
-      pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + pr.sketch0 * pr.sketch0)).sum / m
-        - math.pow(pres.map(pr => pr.size.toDouble * pr.sketch0).sum / m, 2)
-    ).max(1e-9)
-    val r = p.rateOverride.getOrElse(
-      SampleSize.samplingRate(pooledSigma, p.e, p.beta, m) * p.rateFraction)
-
-    val blev = blockLeverages(pres)
-    val rates = blockSizes.map { case (b, n) => b -> math.min(1.0, r * m * blev(b) / n) }
-    val (answer, shift, blocks) = Isla.calculate(df, valueCol, blockCol, blockSizes,
-      pres.map(pr => pr.block -> pr).toMap, rates.getOrElse(_, 0.0), p, seed, label)
+    val pilot = PreEstimation.sigmaPilot(df, col(blockCol), valueCol, sizes, pooled = false, p, seed, label)
+    val m = pilot.sizes.values.sum
+    // The rates read every block's sketch₀ⱼ, so sketch₀ and the moment pass are two scans.
+    val (pres, answer, shift, blocks) = Isla.calculate(pilot, Right { pres =>
+      val r = overallRate(pres, m, p)._2
+      val blev = blockLeverages(pres)
+      val rates = pilot.sizes.map { case (b, n) => b -> math.min(1.0, r * m * blev(b) / n) }
+      rates.getOrElse(_, 0.0)
+    }, p)
+    val (pooledSigma, r) = overallRate(pres, m, p)
     IslaResult(answer, Double.NaN, pooledSigma, r, m, shift, blocks)
   }
 }

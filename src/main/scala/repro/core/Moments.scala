@@ -35,8 +35,10 @@ final case class BlockMoments(block: Long, blockSize: Long, s: RegionMoments, l:
   * Samples are drawn per block by a Bernoulli draw at rate r (the
   * distributed equivalent of drawing `m = r·|Bⱼ|` uniform samples),
   * classified by the [[Boundaries]], and folded into the S/L moments —
-  * no sample is ever materialized, matching the paper's "drop a"
-  * (Algorithm 1, line 12).
+  * no sample is materialized, matching the paper's "drop a" (Algorithm 1,
+  * line 12). When the pass shares its scan with sketch₀
+  * ([[SampleAgg.fused]]), the boundaries are not known yet, so its
+  * values are kept until they are.
   */
 object Moments {
 

@@ -62,7 +62,8 @@ final class BlockSample(regionCount: Int) extends Serializable {
   * Algorithm 1's moment pass and the baselines.
   *
   * A pass is one `mapPartitionsWithIndex` job over the input's
-  * `InternalRow`s, with no shuffle; partitions are merged on the driver in
+  * `InternalRow`s, with no shuffle ([[fused]] runs two passes in one);
+  * partitions are merged on the driver in
   * partition order, as Spark's final aggregate merges them. Rates,
   * boundaries and the shift are driver-side values, so the generated code
   * (one projection) is the same for every query and compiled once.
@@ -104,8 +105,50 @@ object SampleAgg {
         def result() = blocks.iterator.map { case (b, s) => s.sample.rows = s.rows; b -> s.sample }.toArray
       }
     }
+    merge(parts.iterator.flatten)
+  }
+
+  /** A pooled sketch₀ pass and a moment pass in one scan, for a moment
+    * pass whose rate and shift are known before sketch₀ and whose
+    * boundaries are not. Every row draws from both generators:
+    *  - `sketchSeed`'s draws below `sketchRate` feed one sample of the
+    *    whole input, null block ids included: [[run]] over `lit(0L)` at
+    *    that seed and rate, returned as block 0 (no block, for no rows);
+    *  - `seed`'s draws below `rate(block)`, plus `shift`, are kept per
+    *    block and partition in row order, with the block's rows, for
+    *    [[replay]] to split once the boundaries are known.
+    */
+  private[core] def fused(df: DataFrame, block: Column, value: Column, label: String, sketchSeed: Long,
+                          sketchRate: Double, seed: Long, rate: Long => Double,
+                          shift: Double): (Map[Long, BlockSample], Seq[Kept]) = {
+    val parts = scan(df, block, value, label, sketchSeed, 0.0, Some(seed -> shift))(() =>
+      new FusedPartition(sketchRate, rate))
+    (merge(parts.iterator.flatMap(_._1.map(0L -> _))), parts.toSeq.flatMap(_._2))
+  }
+
+  /** A block's rows in one partition of a [[fused]] pass and the values it
+    * sampled there, in row order.
+    */
+  private[core] final case class Kept(block: Long, rows: Long, values: Array[Double])
+
+  /** Folds a [[fused]] pass's kept values, split by `bounds`, into each
+    * block's sample, merging partitions in order: [[run]] at that pass's
+    * seed, rate and shift and at `bounds`, bit for bit.
+    */
+  private[core] def replay(kept: Seq[Kept], bounds: Long => Option[Boundaries]): Map[Long, BlockSample] =
+    merge(kept.iterator.map { k =>
+      val slot = new Fixed(0.0, bounds(k.block))
+      k.values.foreach(slot.take(0.0, _))
+      slot.sample.rows = k.rows
+      k.block -> slot.sample
+    })
+
+  /** Merges partitions' samples per block in the order given, as Spark's
+    * final aggregate merges partitions.
+    */
+  private def merge(parts: Iterator[(Long, BlockSample)]): Map[Long, BlockSample] = {
     val merged = mutable.LongMap.empty[BlockSample]
-    for (part <- parts; (b, s) <- part) merged.getOrElseUpdate(b, new BlockSample(s.regions.length)).merge(s)
+    for ((b, s) <- parts) merged.getOrElseUpdate(b, new BlockSample(s.regions.length)).merge(s)
     merged.toMap
   }
 
@@ -127,30 +170,36 @@ object SampleAgg {
     val sizes = mutable.LongMap.empty[Long]
     for (part <- parts; (b, n) <- part.rows) sizes(b) = sizes.getOrElse(b, 0L) + n
     val total = sizes.values.sum
-    val merged = mutable.LongMap.empty[BlockSample]
-    for (part <- parts; d <- part.drawn) {
+    (sizes.toMap, merge(parts.iterator.flatMap(_.drawn).map { d =>
       val rate = pilotRate(k, if (pooled) total else sizes(d.group))
       val s = new BlockSample(1)
       s.rows = d.rows
       d.us.indices.foreach(i => if (d.us(i) < rate) s.add(d.as(i), 0))
-      merged.getOrElseUpdate(d.group, new BlockSample(1)).merge(s)
-    }
-    (sizes.toMap, merged.toMap)
+      d.group -> s
+    }))
   }
 
-  /** The one row loop: every row draws, goes to its block's slot (or the
-    * partition's slot for a null block id) and, when the draw is below the
-    * slot's rate and the value is not null, is taken by the slot.
+  /** The one row loop: every row draws from `seed`'s generator, goes to
+    * its block's slot (or the partition's slot for a null block id) and,
+    * when the draw is below the slot's rate and the value is not null, is
+    * taken by the slot, plus `shift`. A `second` stream (seed, shift) draws
+    * from its own generator too, against the slot's `rate2`. Its branch
+    * is the only per-row cost a one-stream pass pays for it (a loop over
+    * an array of streams made `noniid-b100` queries about 10% slower on
+    * 4 cores).
     */
   private def scan[S <: Slot, R: ClassTag](df: DataFrame, block: Column, value: Column, label: String,
-                                           seed: Long, shift: Double)(open: () => Partition[S, R]): Array[R] = {
+                                           seed: Long, shift: Double, second: Option[(Long, Double)] = None)(
+      open: () => Partition[S, R]): Array[R] = {
     val rdd = df.select(block.cast("long"), value.cast("double")).queryExecution.toRdd
     val sc = df.sparkSession.sparkContext
     val outer = sc.getLocalProperty("spark.job.description")
+    val shift2 = second.fold(0.0)(_._2)
     sc.setJobDescription(label)
     try rdd.mapPartitionsWithIndex { (part, rows) =>
       val rng = Rand(seed)
       rng.initialize(part)
+      val rng2 = second.map { case (s, _) => val r = Rand(s); r.initialize(part); r }.orNull
       val acc = open()
       var cur: Slot = null
       var curBlock = 0L
@@ -167,6 +216,10 @@ object SampleAgg {
         }
         slot.rows += 1
         if (u < slot.rate && !row.isNullAt(1)) slot.take(u, row.getDouble(1) + shift)
+        if (rng2 != null) {
+          val v = rng2.eval(null).asInstanceOf[Double]
+          if (v < slot.rate2 && !row.isNullAt(1)) slot.take2(row.getDouble(1) + shift2)
+        }
       }
       Iterator.single(acc.result())
     }.collect()
@@ -181,11 +234,15 @@ object SampleAgg {
     def result(): R
   }
 
-  /** A block's rows in one partition; draws below `rate` are taken. */
+  /** A block's rows in one partition; draws below `rate` are taken, and
+    * the second stream's below `rate2`.
+    */
   private abstract class Slot {
     var rows = 0L
     var rate = 0.0
+    var rate2 = 0.0
     def take(u: Double, a: Double): Unit
+    def take2(a: Double): Unit = ()
   }
 
   /** A block sampled at a known rate, split by its boundaries, if any. */
@@ -199,6 +256,32 @@ object SampleAgg {
   private final class Member(val group: Candidates) extends Slot {
     rate = 1.0
     def take(u: Double, a: Double): Unit = { group.offer(u, a); rate = group.bound }
+  }
+
+  /** A block in a [[fused]] pass: its first stream feeds the partition's
+    * shared sketch₀ sample, its second keeps the block's moment values.
+    */
+  private final class Deferring(sketch: BlockSample, sketchRate: Double, momentRate: Double) extends Slot {
+    rate = sketchRate
+    rate2 = momentRate
+    val values = new mutable.ArrayBuilder.ofDouble
+    def take(u: Double, a: Double): Unit = sketch.add(a, 0)
+    override def take2(a: Double): Unit = values += a
+  }
+
+  /** A [[fused]] pass's partition: its sketch₀ sample, if it has rows, and
+    * each block's kept moment values.
+    */
+  private final class FusedPartition(sketchRate: Double, rate: Long => Double)
+      extends Partition[Deferring, (Option[BlockSample], Array[Kept])] {
+    private val sketch = new BlockSample(1)
+    val unkeyed = new Deferring(sketch, sketchRate, 0.0)
+    def slot(b: Long) = new Deferring(sketch, sketchRate, rate(b))
+    def result() = {
+      sketch.rows = unkeyed.rows + blocks.valuesIterator.map(_.rows).sum
+      val kept = blocks.iterator.map { case (b, d) => Kept(b, d.rows, d.values.result()) }.toArray
+      (Option.when(sketch.rows > 0)(sketch), kept)
+    }
   }
 
   /** A pilot group's candidates in one partition, in row order: the draw

@@ -65,6 +65,11 @@ class BaselinesSpec extends SparkSpec {
     assert(math.abs(r.answer - 17.5) < 1e-9, s"answer=${r.answer}")
   }
 
+  test("STS rejects a sample that came back empty") {
+    val e = intercept[IllegalArgumentException](StratifiedSampling.run(normalDf(1000L, 81), "value", 1e-12))
+    assert(e.getMessage.contains("STS sample came back empty"), e.getMessage)
+  }
+
   test("STS on non-i.i.d. blocks recovers the size-weighted mean") {
     val df = Distributions.nonIidBlocks(spark, 20000L, Distributions.nonIidSpecs, seed = 79).cache()
     try {
@@ -174,6 +179,11 @@ class BaselinesSpec extends SparkSpec {
       assert(math.abs(mvb.answer - 10.0) < math.abs(mv.answer - 10.0),
         s"mvb=${mvb.answer} mv=${mv.answer}")
     } finally { df.unpersist(); () }
+  }
+
+  test("MVB rejects a sample that came back empty") {
+    val e = intercept[IllegalArgumentException](MeasureBiased.runMVB(normalDf(1000L, 95), "value", 1e-12))
+    assert(e.getMessage.contains("MVB sample came back empty"), e.getMessage)
   }
 
   test("MV/MVB reject invalid rates") {

@@ -142,6 +142,35 @@ class SampleAggSpec extends SparkSpec {
     }
   }
 
+  test("a fused pass equals the pooled sketch₀ pass and, replayed, the moment pass at its bounds") {
+    def fields(s: BlockSample) = (s.rows, s.regions.toSeq, s.n, s.sd, s.min)
+    val rate = Map(0L -> 0.3, 1L -> 0.05, 2L -> 1.0, 3L -> 0.0, 4L -> 0.5, 5L -> 0.8)
+    for (contiguous <- Seq(false, true); shift <- Seq(0.0, 117.5)) {
+      val df = CountedInput(spark, contiguous).cache()
+      try {
+        assert(df.rdd.getNumPartitions == 8)
+        val (sketch, kept) = SampleAgg.fused(df, col("block"), col("value"), "test", 21L, 0.15, 22L, rate, shift)
+        val pooled = SampleAgg.run(df, lit(0L), col("value"), "test", 21L, _ => 0.15)
+        assert(sketch.keySet == Set(0L) && sketch(0L).rows == 30000L && sketch(0L).n > 0)
+        assert((fields(sketch(0L)), sketch(0L).avg) == ((fields(pooled(0L)), pooled(0L).avg)),
+          s"contiguous=$contiguous")
+
+        val split: Long => Option[Boundaries] = b => Some(Boundaries(shift - 20.0 + b, 30.0, 0.5, 2.0))
+        for (bounds <- Seq[Long => Option[Boundaries]](_ => None, split)) {
+          val expected = SampleAgg.run(df, col("block"), col("value"), "test", 22L, rate, bounds, shift)
+          val got = SampleAgg.replay(kept, bounds)
+          assert(got.keySet == expected.keySet && got.keySet == (0L to 5L).toSet)
+          expected.foreach { case (b, s) =>
+            assert(fields(got(b)) == fields(s), s"block $b, contiguous=$contiguous, shift=$shift")
+          }
+        }
+        val regions = SampleAgg.replay(kept, split).values.map(_.regions.map(_.n))
+          .reduce(_.zip(_).map(t => t._1 + t._2))
+        assert(regions.forall(_ > 0), s"every region is sampled: ${regions.toSeq}")
+      } finally { df.unpersist(); () }
+    }
+  }
+
   /** Records the jobs submitted and the shuffle bytes written. */
   private final class JobLog extends SparkListener {
     val descriptions = mutable.ArrayBuffer.empty[String]
@@ -174,16 +203,16 @@ class SampleAggSpec extends SparkSpec {
       val sizes = Moments.blockSizes(df)
       val p = IslaParams(e = 1.0)
       val calls = Seq[(String, Int, () => Any)](
-        ("Isla.run with sizes", 3, () => Isla.run(df, "value", p, Some(sizes))),
-        ("Isla.run without sizes", 3, () => Isla.run(df, "value", p)),
+        ("Isla.run with sizes", 2, () => Isla.run(df, "value", p, Some(sizes))),
+        ("Isla.run without sizes", 2, () => Isla.run(df, "value", p)),
         ("IslaNonIid.run", 3, () => IslaNonIid.run(df, "value", p, Some(sizes))),
         ("IslaNonIid.run without sizes", 3, () => IslaNonIid.run(df, "value", p)),
         ("US", 1, () => UniformSampling.run(df, "value", 0.1)),
         ("STS", 1, () => StratifiedSampling.run(df, "value", 0.1, Some(sizes))),
         ("STS without sizes", 1, () => StratifiedSampling.run(df, "value", 0.1)),
         ("MV", 1, () => MeasureBiased.runMV(df, "value", 0.1)),
-        ("MVB with sizes", 3, () => MeasureBiased.runMVB(df, "value", 0.1, p, Some(sizes))),
-        ("MVB without sizes", 3, () => MeasureBiased.runMVB(df, "value", 0.1, p)),
+        ("MVB with sizes", 2, () => MeasureBiased.runMVB(df, "value", 0.1, p, Some(sizes))),
+        ("MVB without sizes", 2, () => MeasureBiased.runMVB(df, "value", 0.1, p)),
       )
       calls.foreach { case (name, jobs, call) =>
         val (descriptions, shuffleBytes) = logJobs(call())
@@ -201,7 +230,8 @@ class SampleAggSpec extends SparkSpec {
       sc.setJobDescription("caller")
       val p = IslaParams(e = 1.0)
       val calls = Seq[(() => Any, Seq[String])](
-        (() => Isla.run(df, "value", p), Seq("ISLA σ pilot", "ISLA sketch₀", "ISLA moments")),
+        (() => Isla.run(df, "value", p), Seq("ISLA σ pilot", "ISLA sketch₀ + moments")),
+        (() => MeasureBiased.runMVB(df, "value", 0.1, p), Seq("MVB σ pilot", "MVB sketch₀ + moments")),
         (() => IslaNonIid.run(df, "value", p),
           Seq("ISLA non-i.i.d. σ pilot", "ISLA non-i.i.d. sketch₀", "ISLA non-i.i.d. moments")),
       )
@@ -213,5 +243,27 @@ class SampleAggSpec extends SparkSpec {
         assert(descriptions == phases :+ "caller")
       }
     } finally { sc.setJobDescription(null); df.unpersist(); () }
+  }
+
+  test("Isla.run and MVB give the same answers with sketch₀ and the moment pass fused or separate") {
+    // Above the cap the pipeline runs sketch₀ and the moment pass as two jobs.
+    val p = IslaParams(e = 1.0)
+    for (contiguous <- Seq(false, true)) {
+      val df = CountedInput(spark, contiguous).cache()
+      try {
+        val sizes = Moments.blockSizes(df)
+        val calls = Seq[(String, Option[Map[Long, Long]] => Any)](
+          ("ISLA", Isla.run(df, "value", p, _, seed = 61)),
+          ("MVB", MeasureBiased.runMVB(df, "value", 0.2, p, _, seed = 62)))
+        for ((name, call) <- calls; given <- Seq(None, Some(sizes))) {
+          var fused, separate: Any = null
+          val (fusedJobs, _) = logJobs { fused = call(given) }
+          val (separateJobs, _) = logJobs { separate = PreEstimation.fusedCap.withValue(0.0)(call(given)) }
+          assert(fusedJobs == Seq(s"$name σ pilot", s"$name sketch₀ + moments"))
+          assert(separateJobs == Seq(s"$name σ pilot", s"$name sketch₀", s"$name moments"))
+          assert(fused == separate, s"$name, sizes given: ${given.nonEmpty}, contiguous=$contiguous")
+        }
+      } finally { df.unpersist(); () }
+    }
   }
 }
