@@ -43,18 +43,17 @@ object MeasureBiased {
     *
     * Runs its own pre-estimation (pilot σ and sketch₀) to build the same
     * boundaries ISLA uses, and one pass collecting per-region {n, Σa, Σa²}
-    * for each block. As in [[repro.core.Isla.run]], the σ pilot (seed) is
-    * one scan, and sketch₀ (seed+1) and the MVB pass (seed+2) share the
-    * second.
+    * for each block. As in [[repro.core.Isla.run]], the σ pilot (seed),
+    * sketch₀ (seed+1) and the MVB pass (seed+2) share one scan; a sampled
+    * NaN or ±Inf value is rejected.
     */
   def runMVB(df: DataFrame, valueCol: String, rate: Double,
              p: IslaParams = IslaParams(),
              sizes: Option[Map[Long, Long]] = None,
              blockCol: String = "block", seed: Long = 19L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val pilot = PreEstimation.sigmaPilot(df, col(blockCol), valueCol, sizes, pooled = true, p, seed, "MVB")
-    val (_, samples) =
-      pilot.withMoments(Left(_ => rate), 0.0, "moments")(pr => Boundaries(pr.sketch0, pr.sigma, p.p1, p.p2))
+    val pilot = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "MVB", Left(rate))
+    val (_, samples) = pilot.withMoments(Left(_ => rate), 0.0)(pr => Boundaries(pr.sketch0, pr.sigma, p.p1, p.p2))
     val blocks = samples.toSeq.sortBy(_._1).filter(_._2.n > 0)
     require(blocks.nonEmpty, "MVB sample came back empty")
     // Per block Σ_reg (n_reg/m)·(Σa²/Σa); an all-zero region contributes nothing.

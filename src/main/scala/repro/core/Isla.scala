@@ -22,8 +22,8 @@ final case class IslaResult(
 /** ISLA end to end (Fig. 2): Pre-estimation → per-block Calculation
   * (sampling + iteration) → Summarization.
   *
-  * The two data-touching phases are Spark jobs (pilot passes and the
-  * single-pass per-block moment aggregation of Algorithm 1); the
+  * The data-touching phases, pre-estimation's pilots and Algorithm 1's
+  * per-block moment pass, share one Spark job ([[run]]); the
   * iteration phase is O(b·log(|D⁰|/thr)) scalar work on the driver, and
   * Summarization is the size-weighted merge Σ avg_j·|Bⱼ|/M.
   *
@@ -40,14 +40,16 @@ object Isla {
 
   /** Run ISLA on a blocked DataFrame.
     *
-    * The σ pilot (seed) is one scan. The Eq.-1 rate and the footnote-1
-    * shift follow from it, so sketch₀ (seed+1) and the moment pass
-    * (seed+2) share the second scan, unless the moment sample would
-    * exceed [[PreEstimation.fusedCap]]; then each is its own scan, with
-    * the same answer.
+    * One scan ([[PreEstimation.oneScan]]) draws the σ pilot (seed),
+    * sketch₀ (seed+1) and the moment sample (seed+2), with or without
+    * `sizes`. The Eq.-1 rate and the footnote-1 shift follow from σ̂, and
+    * the S/L split from sketch₀, so each row drawn below a speculative
+    * bound is kept until the driver knows them. A pass whose candidates
+    * fall short of its rate, or exceed [[PreEstimation.fusedCap]], runs
+    * again on its own, with the same answer.
     *
     * @param df       input with `valueCol` (numeric) and `blockCol` (block id)
-    * @param valueCol aggregation column
+    * @param valueCol aggregation column; a sampled NaN or ±Inf value is rejected
     * @param p        algorithm parameters (paper defaults)
     * @param sizes    optional precomputed block sizes (metadata); counted by the σ pilot if absent
     * @param seed     RNG seed; the pilots use seed and seed+1, the main pass seed+2
@@ -60,13 +62,13 @@ object Isla {
       blockCol: String = "block",
       seed: Long = 7L,
   ): IslaResult = {
-    val pilot = PreEstimation.sigmaPilot(df, col(blockCol), valueCol, sizes, pooled = true, p, seed, "ISLA")
-    val m = pilot.groups(0L)
-    val sigma = pilot.sigma(0L)
-    val rate = p.rateOverride.getOrElse {
+    val eq1: (Double, Long) => Double = (sigma, m) =>
       if (sigma <= 0) SampleAgg.pilotRate(p.sigmaPilot, m) // constant data
       else math.min(1.0, SampleSize.samplingRate(sigma, p.e, p.beta, m) * p.rateFraction)
-    }
+    val pilot = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "ISLA", p.rateOverride.toLeft(eq1))
+    val m = pilot.groups(0L)
+    val sigma = pilot.sigma(0L)
+    val rate = p.rateOverride.getOrElse(eq1(sigma, m))
     val (pres, answer, shift, blocks) = calculate(pilot, Left(_ => rate), p)
     IslaResult(answer, pres.head.sketch0, sigma, rate, m, shift, blocks)
   }
@@ -84,7 +86,7 @@ object Isla {
                               p: IslaParams): (Seq[BlockPre], Double, Double, Seq[BlockResult]) = {
     val shift = pilot.shift
     val (pres, samples) =
-      pilot.withMoments(rate, shift, "moments")(pr => Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2))
+      pilot.withMoments(rate, shift)(pr => Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2))
     val sketch0 = pres.map(pr => pr.block -> (pr.sketch0 + shift)).toMap
     val blocks = Moments.of(samples, pilot.sizes)
       .map(bm => Modulation.solveBlock(bm, sketch0(pilot.group(bm.block)), p))

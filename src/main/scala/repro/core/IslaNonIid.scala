@@ -30,7 +30,7 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): Seq[BlockPre] =
-    PreEstimation.sigmaPilot(df, col(blockCol), valueCol, Some(sizes), pooled = false, p, seed, label).sketch0()
+    PreEstimation.sigmaPilot(df, col(blockCol), valueCol, Some(sizes), p, seed, label).sketch0()
 
   /** Block leverage `blevⱼ = (1+σⱼ²)/(b+Σσᵢ²)` (§VII-C). */
   def blockLeverages(pres: Seq[BlockPre]): Map[Long, Double] = {
@@ -61,7 +61,7 @@ object IslaNonIid {
       seed: Long = 7L,
   ): IslaResult = {
     // Without sizes, the σ pilots count the blocks' rows.
-    val pilot = PreEstimation.sigmaPilot(df, col(blockCol), valueCol, sizes, pooled = false, p, seed, label)
+    val pilot = PreEstimation.sigmaPilot(df, col(blockCol), valueCol, sizes, p, seed, label)
     val m = pilot.sizes.values.sum
     // The rates read every block's sketch₀ⱼ, so sketch₀ and the moment pass are two scans.
     val (pres, answer, shift, blocks) = Isla.calculate(pilot, Right { pres =>

@@ -36,16 +36,16 @@ final case class BlockMoments(block: Long, blockSize: Long, s: RegionMoments, l:
   * distributed equivalent of drawing `m = r·|Bⱼ|` uniform samples),
   * classified by the [[Boundaries]], and folded into the S/L moments —
   * no sample is materialized, matching the paper's "drop a" (Algorithm 1,
-  * line 12). When the pass shares its scan with sketch₀
-  * ([[SampleAgg.fused]]), the boundaries are not known yet, so its
-  * values are kept until they are.
+  * line 12). When the pass shares its scan with pre-estimation
+  * ([[SampleAgg.oneScan]]), its rate and boundaries are not known yet,
+  * so its candidate values are kept until they are.
   */
 object Moments {
 
   /** Exact block sizes `|Bⱼ|`, null values included, rows with a null
     * block id skipped, by one counting pass. The paper reads these from
     * metadata; no query calls this, since a query given no sizes has its σ
-    * pilot count them ([[SampleAgg.pilot]]). The experiment harnesses use
+    * pilot count them ([[SampleAgg.pilot]], [[SampleAgg.oneScan]]). The experiment harnesses use
     * it to pass sizes as metadata.
     */
   def blockSizes(df: DataFrame, blockCol: String = "block"): Map[Long, Long] =

@@ -18,16 +18,21 @@ final case class BlockPre(block: Long, size: Long, sigma: Double, sketch0: Doubl
   * them (the paper reads them from metadata). Pass 2 draws the sketch
   * sample at the Eq.-1 rate for the *relaxed* precision t_e·e, giving
   * sketch₀ its relaxed confidence interval (sketch₀ − t_e·e,
-  * sketch₀ + t_e·e) (§III-B). When the moment pass that follows needs
-  * nothing of sketch₀ but its boundaries, pass 2 shares its scan
-  * ([[SigmaPilot.withMoments]]).
+  * sketch₀ + t_e·e) (§III-B).
+  *
+  * Over the pooled input (i.i.d. ISLA and MVB), both passes and the
+  * moment pass that follows share one scan ([[oneScan]]): each keeps
+  * candidates below a speculative bound, and the driver replays them once
+  * σ̂ fixes the rates. A pass whose candidates cannot give its sample
+  * runs again on its own, with the same answer.
   */
 object PreEstimation {
 
-  /** Most moment values, in expectation, that a fused pass may keep for
-    * the driver: 4·10⁶ doubles (32 MB), far below Spark's default 1 GiB
-    * `spark.driver.maxResultSize`. Above it, sketch₀ and the moment pass
-    * run as two passes. Dynamic so that tests can reach both sides.
+  /** Most candidates, per stream, that a [[oneScan]] may send the driver:
+    * 4·10⁶ (64 MB), far below Spark's default 1 GiB
+    * `spark.driver.maxResultSize`, shared evenly by the partitions. A
+    * stream over it runs as its own pass. Dynamic so that tests can reach
+    * both sides.
     */
   private[core] val fusedCap = new DynamicVariable[Double](4e6)
 
@@ -40,38 +45,72 @@ object PreEstimation {
     * @param seed     RNG seed; pass 2 uses seed+1
     */
   def run(df: DataFrame, valueCol: String, dataSize: Long, p: IslaParams, seed: Long = 7L): BlockPre =
-    sigmaPilot(df, lit(0L), valueCol, Some(Map(0L -> dataSize)), pooled = false, p, seed, "ISLA").sketch0().head
+    sigmaPilot(df, lit(0L), valueCol, Some(Map(0L -> dataSize)), p, seed, "ISLA").sketch0().head
 
-  /** Pass 1, one job, with a pilot in every group: each block, or with
-    * `pooled` the whole input as group 0. Without `sizes` the σ pilot also
-    * counts the blocks' rows. `label` prefixes the job descriptions.
+  /** sketch₀'s rate in a group of `n` rows with pilot σ̂ `sigma`: Eq. 1 at
+    * the relaxed precision t_e·e; for a constant group any sample gives
+    * the exact mean.
+    */
+  private def sketchRate(p: IslaParams)(sigma: Double, n: Long): Double =
+    if (sigma <= 0) SampleAgg.pilotRate(p.sigmaPilot, n)
+    else SampleSize.samplingRate(sigma, p.te * p.e, p.beta, n)
+
+  private def nonEmpty(sizes: Map[Long, Long]) = { require(sizes.values.sum > 0, "empty input"); sizes }
+
+  /** Pass 1 alone, one job, with a pilot in every block. Without `sizes`
+    * the σ pilot also counts the blocks' rows. `label` prefixes the job
+    * descriptions.
     */
   private[repro] def sigmaPilot(df: DataFrame, block: Column, valueCol: String, sizes: Option[Map[Long, Long]],
-                               pooled: Boolean, p: IslaParams, seed: Long, label: String): SigmaPilot = {
-    def nonEmpty(sizes: Map[Long, Long]) = { require(sizes.values.sum > 0, "empty input"); sizes }
-    // σ (and min, for the negative-data shift) from a small pilot, which
-    // counts the blocks' rows when their sizes are not given.
+                               p: IslaParams, seed: Long, label: String): SigmaPilot = {
     val (blockSizes, pilot) = sizes match {
       case Some(s) =>
-        val rates = groupSizes(nonEmpty(s), pooled).map { case (g, n) => g -> SampleAgg.pilotRate(p.sigmaPilot, n) }
-        (s, SampleAgg.run(df, if (pooled) lit(0L) else block, col(valueCol), s"$label σ pilot", seed,
-          rates.getOrElse(_, 0.0)))
+        val rates = nonEmpty(s).map { case (b, n) => b -> SampleAgg.pilotRate(p.sigmaPilot, n) }
+        (s, SampleAgg.run(df, block, col(valueCol), s"$label σ pilot", seed, rates.getOrElse(_, 0.0)))
       case None =>
-        val (s, pl) = SampleAgg.pilot(df, block, col(valueCol), s"$label σ pilot", seed, p.sigmaPilot, pooled)
+        val (s, pl) = SampleAgg.pilot(df, block, col(valueCol), s"$label σ pilot", seed, p.sigmaPilot)
         (nonEmpty(s), pl)
     }
-    new SigmaPilot(df, block, col(valueCol), pooled, p, seed, label, blockSizes, pilot)
+    new SigmaPilot(df, block, valueCol, pooled = false, p, seed, label, blockSizes, pilot, None)
+  }
+
+  /** Pass 1, pass 2 and a moment pass over the pooled input in one job
+    * ([[SampleAgg.oneScan]], labelled "`label` σ pilot + sketch₀ +
+    * moments"), which also counts the blocks' rows without `sizes`. The
+    * σ pilot is resolved here, sketch₀ and the moment pass by
+    * [[SigmaPilot.withMoments]]; a pass whose candidates cannot give its
+    * sample runs on its own, as [[sigmaPilot]] and [[SigmaPilot]] run it.
+    *
+    * @param momentRate the moment pass's rate, or Eq. 1's from σ̂ and M
+    */
+  private[repro] def oneScan(df: DataFrame, block: Column, valueCol: String, sizes: Option[Map[Long, Long]],
+                            p: IslaParams, seed: Long, label: String,
+                            momentRate: Either[Double, (Double, Long) => Double]): SigmaPilot = {
+    sizes.foreach(nonEmpty)
+    val value = col(valueCol)
+    val scan = SampleAgg.oneScan(df, block, value, s"$label σ pilot + sketch₀ + moments", seed, p.sigmaPilot,
+      sizes.map(_.values.sum), sketchRate(p), momentRate, fusedCap.value)
+    val blockSizes = nonEmpty(sizes.getOrElse(scan.sizes))
+    val rate = SampleAgg.pilotRate(p.sigmaPilot, blockSizes.values.sum)
+    val pilot = SampleAgg.replay(scan.pilot, _ => rate)
+      .getOrElse(SampleAgg.run(df, lit(0L), value, s"$label σ pilot", seed, _ => rate))
+    new SigmaPilot(df, block, valueCol, pooled = true, p, seed, label, blockSizes, pilot, Some(scan))
   }
 
   /** Pre-estimation after pass 1: the block sizes, and each group's size
-    * and pilot. Pass 2 has not run: [[sketch0]] runs it alone, and
-    * [[withMoments]] with the moment pass.
+    * and pilot. Pass 2 is replayed from `scan`, if given and valid, else
+    * run: [[sketch0]] alone, and [[withMoments]] with the moment pass.
+    * Every sample is checked for NaN and ±Inf values once it is on the
+    * driver.
     */
-  private[repro] final class SigmaPilot(df: DataFrame, block: Column, value: Column, pooled: Boolean, p: IslaParams,
-                                       seed: Long, label: String, val sizes: Map[Long, Long],
-                                       pilot: Map[Long, BlockSample]) {
+  private[repro] final class SigmaPilot(df: DataFrame, block: Column, valueCol: String, pooled: Boolean,
+                                       p: IslaParams, seed: Long, label: String, val sizes: Map[Long, Long],
+                                       pilot: Map[Long, BlockSample], scan: Option[SampleAgg.Speculation]) {
+    private val value = col(valueCol)
+    finite(pilot)
+
     /** Each group's size: each block's, or with `pooled` the input's as group 0. */
-    val groups: Map[Long, Long] = groupSizes(sizes, pooled)
+    val groups: Map[Long, Long] = if (pooled) Map(0L -> sizes.values.sum) else sizes
     private def pl(g: Long) = pilot.getOrElse(g, new BlockSample(1))
     def group(b: Long): Long = if (pooled) 0L else b
     def sigma(g: Long): Double = pl(g).sd
@@ -84,57 +123,40 @@ object PreEstimation {
       if (lowest <= 0) -lowest + math.max(groups.keys.map(sigma).max, 1.0) else 0.0
     }
 
-    // Pass 2's rates: sketch₀ at the relaxed precision t_e·e (Eq. 1 with
-    // e' = t_e·e); for a constant group any sample gives the exact mean.
-    private val sketchRates = groups.map { case (g, n) =>
-      g -> (if (sigma(g) <= 0) SampleAgg.pilotRate(p.sigmaPilot, n)
-            else SampleSize.samplingRate(sigma(g), p.te * p.e, p.beta, n))
+    private val sketchRates = groups.map { case (g, n) => g -> sketchRate(p)(sigma(g), n) }
+
+    private def finite(samples: Map[Long, BlockSample]): Map[Long, BlockSample] = {
+      require(samples.values.forall(_.finite), s"column $valueCol has NaN or infinite values")
+      samples
     }
 
-    private def pres(sketch: Map[Long, BlockSample]): Seq[BlockPre] = groups.keys.toSeq.sorted.map { g =>
-      val sk = sketch.get(g).filter(_.n > 0).fold(pl(g).avg)(_.avg)
-      BlockPre(g, groups(g), sigma(g), sk, pl(g).min)
-    }
-
-    /** Pass 2 alone (seed+1): the groups' pre-estimates, sorted by group. */
+    /** Pass 2 (seed+1): the groups' pre-estimates, sorted by group. */
     def sketch0(): Seq[BlockPre] = {
       val rates = sketchRates // a local, so the task closure does not capture this pilot
-      pres(SampleAgg.run(df, if (pooled) lit(0L) else block, value, s"$label sketch₀", seed + 1,
-        rates.getOrElse(_, 0.0)))
+      val sketch = scan.flatMap(s => SampleAgg.replay(s.sketch, rates)).getOrElse(
+        SampleAgg.run(df, if (pooled) lit(0L) else block, value, s"$label sketch₀", seed + 1, rates.getOrElse(_, 0.0)))
+      groups.keys.toSeq.sorted.map { g =>
+        val sk = finite(sketch).get(g).filter(_.n > 0).fold(pl(g).avg)(_.avg)
+        BlockPre(g, groups(g), sigma(g), sk, pl(g).min)
+      }
     }
 
     /** Pass 2 and a moment pass (seed+2, each block at its `rate`, plus
       * `shift`, split by the boundaries `bounds` makes of its group's
       * pre-estimate). `rate` is `Left` when known before sketch₀, else
-      * made from the pre-estimates. A known rate of a pooled pilot whose
-      * expected samples, Σⱼ rate·|Bⱼ|, fit under [[fusedCap]] lets both
-      * passes share one [[SampleAgg.fused]] scan; the samples are then
-      * [[SampleAgg.replay]]ed, so either way they are the same bit for bit.
-      * `phase` names the moment pass in its job description.
+      * made from the pre-estimates.
       *
       * @return the groups' pre-estimates, sorted by group, and the moment
       *         pass's samples per block
       */
-    def withMoments(rate: Either[Long => Double, Seq[BlockPre] => Long => Double], shift: Double, phase: String)(
+    def withMoments(rate: Either[Long => Double, Seq[BlockPre] => Long => Double], shift: Double)(
         bounds: BlockPre => Boundaries): (Seq[BlockPre], Map[Long, BlockSample]) = {
-      def boundsOf(pres: Seq[BlockPre]): Long => Option[Boundaries] = {
-        val byGroup = pres.map(pr => pr.block -> bounds(pr)).toMap
-        if (pooled) { val all = byGroup.get(0L); _ => all } else byGroup.get
-      }
-      rate match {
-        case Left(r) if pooled && sizes.map { case (b, n) => r(b) * n }.sum <= fusedCap.value =>
-          val (sketch, kept) = SampleAgg.fused(df, block, value, s"$label sketch₀ + $phase", seed + 1,
-            sketchRates(0L), seed + 2, r, shift)
-          val pres = this.pres(sketch)
-          (pres, SampleAgg.replay(kept, boundsOf(pres)))
-        case _ =>
-          val pres = sketch0()
-          (pres, SampleAgg.run(df, block, value, s"$label $phase", seed + 2, rate.fold(identity, _(pres)),
-            boundsOf(pres), shift))
-      }
+      val pres = sketch0()
+      val r = rate.fold(identity, _(pres))
+      val byGroup = pres.map(pr => pr.block -> bounds(pr)).toMap
+      val bs: Long => Option[Boundaries] = if (pooled) { val all = byGroup.get(0L); _ => all } else byGroup.get
+      (pres, finite(scan.flatMap(s => SampleAgg.replay(s.moments, r, bs, shift))
+        .getOrElse(SampleAgg.run(df, block, value, s"$label moments", seed + 2, r, bs, shift))))
     }
   }
-
-  private def groupSizes(sizes: Map[Long, Long], pooled: Boolean): Map[Long, Long] =
-    if (pooled) Map(0L -> sizes.values.sum) else sizes
 }

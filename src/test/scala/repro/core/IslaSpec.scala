@@ -210,6 +210,22 @@ class IslaSpec extends SparkSpec {
     }
   }
 
+  test("NaN and ±Inf values are rejected by column name at rate 1") {
+    import spark.implicits._
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val df = (0 until 1000).map(i => (if (i == 500) bad else 100.0 + i % 7, (i % 3).toLong))
+        .toDF("price", "block")
+      val all = p.copy(rateOverride = Some(1.0))
+      val runs = Seq[() => Any](
+        () => Isla.run(df, "price", all), () => IslaNonIid.run(df, "price", all),
+        () => MeasureBiased.runMVB(df, "price", 1.0, p))
+      runs.foreach { run =>
+        val e = intercept[IllegalArgumentException](run())
+        assert(e.getMessage.endsWith("column price has NaN or infinite values"), s"$bad: ${e.getMessage}")
+      }
+    }
+  }
+
   test("constant data return the constant") {
     import spark.implicits._
     val df = (1 to 5000).map(_ => (42.0, 0L)).toDF("value", "block").cache()

@@ -124,7 +124,7 @@ class SampleAggSpec extends SparkSpec {
       val df = CountedInput(spark, contiguous).cache()
       try {
         assert(df.rdd.getNumPartitions >= 6)
-        val (sizes, perBlock) = SampleAgg.pilot(df, col("block"), col("value"), "test", 15L, k, pooled = false)
+        val (sizes, perBlock) = SampleAgg.pilot(df, col("block"), col("value"), "test", 15L, k)
         Oracle.assertEquivalent(sizes.toSeq.toDF("block", "n"),
           "SELECT block, count(*) AS n FROM t WHERE block IS NOT NULL GROUP BY block", "t" -> df)
         assert(sizes == Moments.blockSizes(df))
@@ -132,41 +132,64 @@ class SampleAggSpec extends SparkSpec {
         assert(perBlock.keySet == expected.keySet && perBlock.values.map(_.n).sum > 0)
         expected.foreach { case (b, s) => assert(fields(perBlock(b)) == fields(s), s"block $b, contiguous=$contiguous") }
 
-        // Pooled: the count skips null block ids, the pilot still draws from them.
-        val (pooledSizes, pooled) = SampleAgg.pilot(df, col("block"), col("value"), "test", 16L, k, pooled = true)
-        assert(pooledSizes == sizes)
-        val all = SampleAgg.run(df, lit(0L), col("value"), "test", 16L, _ => SampleAgg.pilotRate(k, sizes.values.sum))
+        // Pooled, in one scan: the count skips null block ids, the pilot still draws from them.
+        val scan = SampleAgg.oneScan(df, col("block"), col("value"), "test", 16L, k, None, (_, _) => 1.0, Left(0.1), 4e6)
+        assert(scan.sizes == sizes)
+        val rate = SampleAgg.pilotRate(k, sizes.values.sum)
+        val pooled = SampleAgg.replay(scan.pilot, _ => rate).get
+        val all = SampleAgg.run(df, lit(0L), col("value"), "test", 16L, _ => rate)
         assert(pooled.keySet == Set(0L) && pooled(0L).n > 0)
         assert(fields(pooled(0L)) == fields(all(0L)), s"contiguous=$contiguous")
       } finally { df.unpersist(); () }
     }
   }
 
-  test("a fused pass equals the pooled sketch₀ pass and, replayed, the moment pass at its bounds") {
+  test("one scan's streams replay as the σ pilot, sketch₀ and moment passes") {
     def fields(s: BlockSample) = (s.rows, s.regions.toSeq, s.n, s.sd, s.min)
-    val rate = Map(0L -> 0.3, 1L -> 0.05, 2L -> 1.0, 3L -> 0.0, 4L -> 0.5, 5L -> 0.8)
-    for (contiguous <- Seq(false, true); shift <- Seq(0.0, 117.5)) {
+    def same(got: Map[Long, BlockSample], expected: Map[Long, BlockSample], clue: String): Unit = {
+      assert(got.keySet == expected.keySet, clue)
+      expected.foreach { case (b, s) => assert(fields(got(b)) == fields(s), s"block $b, $clue") }
+    }
+    // Rates that read σ̂ and M as Eq. 1 does; k = 5 trims the buffers many times.
+    val k = 5
+    val sketchRate: (Double, Long) => Double = (sigma, m) => math.min(1.0, 3 * sigma / m)
+    val momentRate: (Double, Long) => Double = (sigma, m) => math.min(1.0, 100 * sigma / m)
+    val split: Long => Option[Boundaries] = b => Some(Boundaries(97.5 + b, 30.0, 0.5, 2.0))
+    for (contiguous <- Seq(false, true); given <- Seq(false, true);
+         moments <- Seq[Either[Double, (Double, Long) => Double]](Right(momentRate), Left(0.3))) {
       val df = CountedInput(spark, contiguous).cache()
       try {
-        assert(df.rdd.getNumPartitions == 8)
-        val (sketch, kept) = SampleAgg.fused(df, col("block"), col("value"), "test", 21L, 0.15, 22L, rate, shift)
-        val pooled = SampleAgg.run(df, lit(0L), col("value"), "test", 21L, _ => 0.15)
-        assert(sketch.keySet == Set(0L) && sketch(0L).rows == 30000L && sketch(0L).n > 0)
-        assert((fields(sketch(0L)), sketch(0L).avg) == ((fields(pooled(0L)), pooled(0L).avg)),
-          s"contiguous=$contiguous")
+        val sizes = Moments.blockSizes(df)
+        val clue = s"contiguous=$contiguous, sizes given: $given, moment rate $moments"
+        val scan = SampleAgg.oneScan(df, col("block"), col("value"), "test", 21L, k,
+          Option.when(given)(sizes.values.sum), sketchRate, moments, 4e6)
+        assert(scan.sizes == sizes, clue)
+        assert(scan.pilot.size == 8 && scan.sketch.size == 8 && scan.moments.map(_.group).toSet == sizes.keySet, clue)
+        for (d <- scan.pilot ++ scan.sketch ++ scan.moments) assert(d.us.forall(_ < d.bound), clue)
 
-        val split: Long => Option[Boundaries] = b => Some(Boundaries(shift - 20.0 + b, 30.0, 0.5, 2.0))
-        for (bounds <- Seq[Long => Option[Boundaries]](_ => None, split)) {
-          val expected = SampleAgg.run(df, col("block"), col("value"), "test", 22L, rate, bounds, shift)
-          val got = SampleAgg.replay(kept, bounds)
-          assert(got.keySet == expected.keySet && got.keySet == (0L to 5L).toSet)
-          expected.foreach { case (b, s) =>
-            assert(fields(got(b)) == fields(s), s"block $b, contiguous=$contiguous, shift=$shift")
-          }
-        }
-        val regions = SampleAgg.replay(kept, split).values.map(_.regions.map(_.n))
+        // Each stream, replayed at its lowest bound, is the pass at that rate.
+        def lowest(drawn: Seq[SampleAgg.Drawn]) = drawn.map(_.bound).min
+        val p = lowest(scan.pilot)
+        same(SampleAgg.replay(scan.pilot, _ => p).get, SampleAgg.run(df, lit(0L), col("value"), "test", 21L, _ => p), clue)
+        val s = lowest(scan.sketch)
+        assert(s > 0 && s < 1, clue)
+        same(SampleAgg.replay(scan.sketch, _ => s).get,
+          SampleAgg.run(df, lit(0L), col("value"), "test", 22L, _ => s), clue)
+        val m = lowest(scan.moments)
+        assert(m > 0 && m < 1 && moments.left.forall(_ == m), clue)
+        for (shift <- Seq(0.0, 117.5); bounds <- Seq[Long => Option[Boundaries]](_ => None, split))
+          same(SampleAgg.replay(scan.moments, _ => m, bounds, shift).get,
+            SampleAgg.run(df, col("block"), col("value"), "test", 23L, _ => m, bounds, shift), s"$clue, shift $shift")
+        val regions = SampleAgg.replay(scan.moments, _ => m, split, 117.5).get.values.map(_.regions.map(_.n))
           .reduce(_.zip(_).map(t => t._1 + t._2))
         assert(regions.forall(_ > 0), s"every region is sampled: ${regions.toSeq}")
+
+        // Above a partition's bound the candidates may lack rows: no replay.
+        assert(SampleAgg.replay(scan.sketch, _ => scan.sketch.map(_.bound).max * 1.01).isEmpty, clue)
+        // Over the cap, a stream keeps nothing and its bound is 0.
+        val capped = SampleAgg.oneScan(df, col("block"), col("value"), "test", 21L, k, None, sketchRate, moments, 0.0)
+        for (d <- capped.pilot ++ capped.sketch ++ capped.moments) assert(d.bound == 0.0 && d.us.isEmpty, clue)
+        assert(capped.sizes == sizes, clue)
       } finally { df.unpersist(); () }
     }
   }
@@ -203,16 +226,16 @@ class SampleAggSpec extends SparkSpec {
       val sizes = Moments.blockSizes(df)
       val p = IslaParams(e = 1.0)
       val calls = Seq[(String, Int, () => Any)](
-        ("Isla.run with sizes", 2, () => Isla.run(df, "value", p, Some(sizes))),
-        ("Isla.run without sizes", 2, () => Isla.run(df, "value", p)),
+        ("Isla.run with sizes", 1, () => Isla.run(df, "value", p, Some(sizes))),
+        ("Isla.run without sizes", 1, () => Isla.run(df, "value", p)),
         ("IslaNonIid.run", 3, () => IslaNonIid.run(df, "value", p, Some(sizes))),
         ("IslaNonIid.run without sizes", 3, () => IslaNonIid.run(df, "value", p)),
         ("US", 1, () => UniformSampling.run(df, "value", 0.1)),
         ("STS", 1, () => StratifiedSampling.run(df, "value", 0.1, Some(sizes))),
         ("STS without sizes", 1, () => StratifiedSampling.run(df, "value", 0.1)),
         ("MV", 1, () => MeasureBiased.runMV(df, "value", 0.1)),
-        ("MVB with sizes", 2, () => MeasureBiased.runMVB(df, "value", 0.1, p, Some(sizes))),
-        ("MVB without sizes", 2, () => MeasureBiased.runMVB(df, "value", 0.1, p)),
+        ("MVB with sizes", 1, () => MeasureBiased.runMVB(df, "value", 0.1, p, Some(sizes))),
+        ("MVB without sizes", 1, () => MeasureBiased.runMVB(df, "value", 0.1, p)),
       )
       calls.foreach { case (name, jobs, call) =>
         val (descriptions, shuffleBytes) = logJobs(call())
@@ -230,8 +253,8 @@ class SampleAggSpec extends SparkSpec {
       sc.setJobDescription("caller")
       val p = IslaParams(e = 1.0)
       val calls = Seq[(() => Any, Seq[String])](
-        (() => Isla.run(df, "value", p), Seq("ISLA σ pilot", "ISLA sketch₀ + moments")),
-        (() => MeasureBiased.runMVB(df, "value", 0.1, p), Seq("MVB σ pilot", "MVB sketch₀ + moments")),
+        (() => Isla.run(df, "value", p), Seq("ISLA σ pilot + sketch₀ + moments")),
+        (() => MeasureBiased.runMVB(df, "value", 0.1, p), Seq("MVB σ pilot + sketch₀ + moments")),
         (() => IslaNonIid.run(df, "value", p),
           Seq("ISLA non-i.i.d. σ pilot", "ISLA non-i.i.d. sketch₀", "ISLA non-i.i.d. moments")),
       )
@@ -245,25 +268,74 @@ class SampleAggSpec extends SparkSpec {
     } finally { sc.setJobDescription(null); df.unpersist(); () }
   }
 
-  test("Isla.run and MVB give the same answers with sketch₀ and the moment pass fused or separate") {
-    // Above the cap the pipeline runs sketch₀ and the moment pass as two jobs.
+  test("Isla.run and MVB agree from one scan, with fusedCap 0 and on a miss") {
+    // A value-sorted input: each partition's σ̂ is far below the pooled σ̂,
+    // so the speculative bounds miss and sketch₀ (and an unknown moment
+    // rate) run again as their own passes.
     val p = IslaParams(e = 1.0)
-    for (contiguous <- Seq(false, true)) {
-      val df = CountedInput(spark, contiguous).cache()
+    val inputs = Seq[(String, () => DataFrame, Boolean)](
+      ("interleaved", () => CountedInput(spark, contiguous = false), false),
+      ("contiguous", () => CountedInput(spark, contiguous = true), false),
+      ("constant", () => CountedInput(spark, contiguous = true)
+        .withColumn("value", when(col("value").isNotNull, lit(7.5))), false),
+      ("value-sorted", () => CountedInput(spark, contiguous = false)
+        .repartitionByRange(8, col("value")).sortWithinPartitions("value"), true))
+    for ((input, make, misses) <- inputs) {
+      val df = make().cache()
       try {
+        df.count()
         val sizes = Moments.blockSizes(df)
-        val calls = Seq[(String, Option[Map[Long, Long]] => Any)](
-          ("ISLA", Isla.run(df, "value", p, _, seed = 61)),
-          ("MVB", MeasureBiased.runMVB(df, "value", 0.2, p, _, seed = 62)))
-        for ((name, call) <- calls; given <- Seq(None, Some(sizes))) {
-          var fused, separate: Any = null
-          val (fusedJobs, _) = logJobs { fused = call(given) }
+        val calls = Seq[(String, Option[Map[Long, Long]] => Any, Seq[String])](
+          ("ISLA", Isla.run(df, "value", p, _, seed = 61), Seq("sketch₀", "moments")),
+          ("ISLA", Isla.run(df, "value", p.copy(rateOverride = Some(0.2)), _, seed = 63), Seq("sketch₀")),
+          ("MVB", MeasureBiased.runMVB(df, "value", 0.2, p, _, seed = 62), Seq("sketch₀")))
+        for ((name, call, missed) <- calls; given <- Seq(None, Some(sizes))) {
+          val clue = s"$name on $input input, sizes given: ${given.nonEmpty}"
+          val scan = s"$name σ pilot + sketch₀ + moments"
+          var once, separate: Any = null
+          val (jobs, _) = logJobs { once = call(given) }
           val (separateJobs, _) = logJobs { separate = PreEstimation.fusedCap.withValue(0.0)(call(given)) }
-          assert(fusedJobs == Seq(s"$name σ pilot", s"$name sketch₀ + moments"))
-          assert(separateJobs == Seq(s"$name σ pilot", s"$name sketch₀", s"$name moments"))
-          assert(fused == separate, s"$name, sizes given: ${given.nonEmpty}, contiguous=$contiguous")
+          assert(jobs == scan +: (if (misses) missed.map(s"$name " + _) else Nil), clue)
+          assert(separateJobs == Seq(scan, s"$name σ pilot", s"$name sketch₀", s"$name moments"), clue)
+          assert(once == separate, clue)
         }
       } finally { df.unpersist(); () }
     }
+  }
+
+  test("Isla.run without sizes sends about c·m candidates, not P·c·m") {
+    // Fixed before the first run, from DESIGN §5: N(100, 20²), M = 4·10⁵
+    // rows in P = 4 partitions, e = 0.25, β = 0.95. Eq. 1 asks for
+    // m = ⌈1.96²·20²/0.25²⌉ = 24 586 moment samples and, at t_e·e = 0.75,
+    // m₀ = 2 732 sketch₀ samples. A partition keeps candidates below
+    // c = 1.5 times the rate at its own σ̂ and M guessed as P × its rows,
+    // so c·(m + m₀) ≈ 41 000 in all, plus at most 2k = 4 000 σ-pilot
+    // candidates per partition, 16 B each: 0.91 MB, and 25% more for
+    // framing. Bounding M by the rows a partition has seen would keep
+    // P·c·m ≈ 147 000 moment candidates, 2.4 MB.
+    val bound = 16 * (1.5 * (24586 + 2732) + 4 * 2 * 2000) * 1.25
+    val df = spark.range(0, 400000, 1, 4)
+      .select((col("id") % 10).as("block"), (lit(100.0) + randn(71) * 20).as("value")).cache()
+    val sc = spark.sparkContext
+    try {
+      df.count()
+      val p = IslaParams(e = 0.25)
+      Isla.run(df, "value", p, seed = 72) // warm up
+      ListenerBusDrain(sc)
+      var bytes = 0L
+      val listener = new SparkListener {
+        override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+          if (e.taskMetrics != null) bytes += e.taskMetrics.resultSize
+        }
+      }
+      sc.addSparkListener(listener)
+      val (jobs, _) = try logJobs(Isla.run(df, "value", p, seed = 73)) finally {
+        ListenerBusDrain(sc)
+        sc.removeSparkListener(listener)
+      }
+      assert(jobs == Seq("ISLA σ pilot + sketch₀ + moments"))
+      val sent = listener.synchronized(bytes)
+      assert(sent > 16 * 24586 && sent < bound, s"task results: $sent bytes, bound ${bound.toLong}")
+    } finally { df.unpersist(); () }
   }
 }
