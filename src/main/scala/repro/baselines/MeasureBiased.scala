@@ -52,8 +52,9 @@ object MeasureBiased {
              sizes: Option[Map[Long, Long]] = None,
              blockCol: String = "block", seed: Long = 19L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val pilot = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "MVB", Left(rate))
-    val (_, samples) = pilot.withMoments(Left(_ => rate), 0.0)(pr => Boundaries(pr.sketch0, pr.sigma, p.p1, p.p2))
+    val pilot =
+      PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "MVB", pooled = true, Left(_ => rate))
+    val (_, samples) = pilot.withMoments(0.0)(pr => Boundaries(pr.sketch0, pr.sigma, p.p1, p.p2))
     val blocks = samples.toSeq.sortBy(_._1).filter(_._2.n > 0)
     require(blocks.nonEmpty, "MVB sample came back empty")
     // Per block Σ_reg (n_reg/m)·(Σa²/Σa); an all-zero region contributes nothing.

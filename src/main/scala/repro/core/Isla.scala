@@ -65,28 +65,29 @@ object Isla {
     val eq1: (Double, Long) => Double = (sigma, m) =>
       if (sigma <= 0) SampleAgg.pilotRate(p.sigmaPilot, m) // constant data
       else math.min(1.0, SampleSize.samplingRate(sigma, p.e, p.beta, m) * p.rateFraction)
-    val pilot = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "ISLA", p.rateOverride.toLeft(eq1))
+    val momentRate: PreEstimation.MomentRate = p.rateOverride.map(r => (_: Long) => r)
+      .toLeft { pres => val pr = pres.head; _ => eq1(pr.sigma, pr.size) }
+    val pilot = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "ISLA", pooled = true, momentRate)
     val m = pilot.groups(0L)
     val sigma = pilot.sigma(0L)
     val rate = p.rateOverride.getOrElse(eq1(sigma, m))
-    val (pres, answer, shift, blocks) = calculate(pilot, Left(_ => rate), p)
+    val (pres, answer, shift, blocks) = calculate(pilot, p)
     IslaResult(answer, pres.head.sketch0, sigma, rate, m, shift, blocks)
   }
 
   /** Calculation and Summarization, shared by both pipelines: pass 2 of
     * pre-estimation and one moment pass (Algorithm 1) at each block's
-    * `rate` ([[PreEstimation.SigmaPilot.withMoments]]), on the footnote-1
+    * rate ([[PreEstimation.SigmaPilot.withMoments]]), on the footnote-1
     * shifted scale with each block's boundaries from its group's
     * pre-estimate; then modulation (Algorithm 2) and the size-weighted
     * merge, shifted back. Returns the pre-estimates, the answer, the shift
     * and the blocks.
     */
   private[core] def calculate(pilot: PreEstimation.SigmaPilot,
-                              rate: Either[Long => Double, Seq[BlockPre] => Long => Double],
                               p: IslaParams): (Seq[BlockPre], Double, Double, Seq[BlockResult]) = {
     val shift = pilot.shift
     val (pres, samples) =
-      pilot.withMoments(rate, shift)(pr => Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2))
+      pilot.withMoments(shift)(pr => Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2))
     val sketch0 = pres.map(pr => pr.block -> (pr.sketch0 + shift)).toMap
     val blocks = Moments.of(samples, pilot.sizes)
       .map(bm => Modulation.solveBlock(bm, sketch0(pilot.group(bm.block)), p))

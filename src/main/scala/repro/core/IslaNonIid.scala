@@ -10,17 +10,20 @@ import org.apache.spark.sql.functions.col
   *  - block leverages `blevⱼ = (1+σⱼ²)/(b+Σσᵢ²)` reflect local variance,
   *    and block Bⱼ samples at rate `r·M·blevⱼ/|Bⱼ|` — dispersed blocks
   *    are sampled more (inspired by bi-level sampling [1]); the overall
-  *    rate r comes from Eq. 1 with the pooled pilot σ.
+  *    rate r comes from Eq. 1 with the pooled σ of the blocks' σⱼ and
+  *    sketch₀ⱼ.
   *
-  * The footnote-1 shift, the moment pass, modulation and summarization
-  * are [[Isla.calculate]]'s, shared with the i.i.d. pipeline.
+  * The per-block σ pilots, sketch₀ⱼ and the moment pass share one scan
+  * ([[PreEstimation.oneScan]]), with or without the block sizes. The
+  * footnote-1 shift, the moment pass, modulation and summarization are
+  * [[Isla.calculate]]'s, shared with the i.i.d. pipeline.
   */
 object IslaNonIid {
 
   private val label = "ISLA non-i.i.d."
 
   /** Per-block [[PreEstimation]]: σⱼ and pilot minⱼ from a pilot in
-    * each block, then sketch₀ⱼ at the relaxed precision t_e·e.
+    * each block, and sketch₀ⱼ at the relaxed precision t_e·e, in one scan.
     */
   def preEstimate(
       df: DataFrame,
@@ -30,7 +33,7 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): Seq[BlockPre] =
-    PreEstimation.sigmaPilot(df, col(blockCol), valueCol, Some(sizes), p, seed, label).sketch0()
+    PreEstimation.oneScan(df, col(blockCol), valueCol, Some(sizes), p, seed, label, pooled = false).sketch0()
 
   /** Block leverage `blevⱼ = (1+σⱼ²)/(b+Σσᵢ²)` (§VII-C). */
   def blockLeverages(pres: Seq[BlockPre]): Map[Long, Double] = {
@@ -51,7 +54,16 @@ object IslaNonIid {
     (pooledSigma, p.rateOverride.getOrElse(SampleSize.samplingRate(pooledSigma, p.e, p.beta, m) * p.rateFraction))
   }
 
-  /** Run non-i.i.d. ISLA end to end. */
+  /** Each block's rate `min(1, r·M·blevⱼ/|Bⱼ|)` from the blocks' pre-estimates. */
+  private def rates(p: IslaParams)(pres: Seq[BlockPre]): Long => Double = {
+    val m = pres.map(_.size).sum
+    val r = overallRate(pres, m, p)._2
+    val blev = blockLeverages(pres)
+    val rates = pres.map(pr => pr.block -> math.min(1.0, r * m * blev(pr.block) / pr.size)).toMap
+    rates.getOrElse(_, 0.0)
+  }
+
+  /** Run non-i.i.d. ISLA end to end, in one scan of `df`. */
   def run(
       df: DataFrame,
       valueCol: String,
@@ -61,16 +73,10 @@ object IslaNonIid {
       seed: Long = 7L,
   ): IslaResult = {
     // Without sizes, the σ pilots count the blocks' rows.
-    val pilot = PreEstimation.sigmaPilot(df, col(blockCol), valueCol, sizes, p, seed, label)
-    val m = pilot.sizes.values.sum
-    // The rates read every block's sketch₀ⱼ, so sketch₀ and the moment pass are two scans.
-    val (pres, answer, shift, blocks) = Isla.calculate(pilot, Right { pres =>
-      val r = overallRate(pres, m, p)._2
-      val blev = blockLeverages(pres)
-      val rates = pilot.sizes.map { case (b, n) => b -> math.min(1.0, r * m * blev(b) / n) }
-      rates.getOrElse(_, 0.0)
-    }, p)
-    val (pooledSigma, r) = overallRate(pres, m, p)
-    IslaResult(answer, Double.NaN, pooledSigma, r, m, shift, blocks)
+    val pilot = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, label, pooled = false,
+      Right(rates(p)))
+    val (pres, answer, shift, blocks) = Isla.calculate(pilot, p)
+    val (pooledSigma, r) = overallRate(pres, pilot.sizes.values.sum, p)
+    IslaResult(answer, Double.NaN, pooledSigma, r, pilot.sizes.values.sum, shift, blocks)
   }
 }

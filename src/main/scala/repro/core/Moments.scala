@@ -44,9 +44,9 @@ object Moments {
 
   /** Exact block sizes `|Bⱼ|`, null values included, rows with a null
     * block id skipped, by one counting pass. The paper reads these from
-    * metadata; no query calls this, since a query given no sizes has its σ
-    * pilot count them ([[SampleAgg.pilot]], [[SampleAgg.oneScan]]). The experiment harnesses use
-    * it to pass sizes as metadata.
+    * metadata; no query calls this, since a query given no sizes counts
+    * them in its one scan ([[SampleAgg.oneScan]]). The experiment
+    * harnesses use it to pass sizes as metadata.
     */
   def blockSizes(df: DataFrame, blockCol: String = "block"): Map[Long, Long] =
     SampleAgg.run(df, col(blockCol), lit(0.0), "ISLA block sizes", seed = 0L, rate = _ => 0.0)

@@ -1,12 +1,15 @@
 package repro.core
 
+import java.nio.{ByteBuffer, ByteOrder}
 import java.util.Arrays
 
 import scala.collection.mutable
 import scala.reflect.ClassTag
+import scala.util.control.NonFatal
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.catalyst.expressions.Rand
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.util.random.RandGenerator
 
 /** What one sampled pass learns about one block: rows seen, and the
   * sampled non-null values' moments per region, minimum, and Welford
@@ -82,9 +85,20 @@ object SampleAgg {
 
   /** The margin c of a speculative bound over the rate it guesses
     * (DESIGN §5): a partition keeps up to c times the samples its own σ̂
-    * and guess of M ask for, so the pooled σ̂ may exceed its σ̂ by √c.
+    * and guess of the group's size ask for, so the group's σ̂ may exceed
+    * the partition's by √c.
     */
   private val Margin = 1.5
+
+  /** The fewest pilot candidates a partition's σ̂ is taken from. */
+  private val MinSigma = 64
+
+  /** The margin of a bound whose σ̂ comes from `n` values: c, or more when
+    * 5.3 standard errors of a variance estimate from `n` normal values,
+    * √(2/n), exceed 1 − 1/c (n < 500); the variance then falls short of
+    * 1/margin of the truth with a chance below 10⁻⁷ (DESIGN §5).
+    */
+  private def margin(n: Int): Double = math.max(Margin, 1.0 / (1.0 - 5.3 * math.sqrt(2.0 / n)))
 
   /** The σ pilot's rate in a group of `n` rows: min(1, k/n). */
   private[core] def pilotRate(k: Int, n: Long): Double = math.min(1.0, k.toDouble / n)
@@ -114,37 +128,81 @@ object SampleAgg {
       bounds: Long => Option[Boundaries] = _ => None,
       shift: Double = 0.0,
   ): Map[Long, BlockSample] = {
-    val parts = scan(df, block, value, label, seed, shift) { _ =>
-      new Partition[Fixed, Array[(Long, BlockSample)]] {
-        val unkeyed = new Fixed(0.0, None)
-        def slot(b: Long) = new Fixed(rate(b), bounds(b))
-        def result() = blocks.iterator.map { case (b, s) => s.sample.rows = s.rows; b -> s.sample }.toArray
+    val parts = job(df, block, value, label) { (part, _, rows) =>
+      val rng = generator(seed, part)
+      val blocks = mutable.LongMap.empty[Fixed]
+      val unkeyed = new Fixed(0.0, None)
+      var cur: Fixed = null
+      var curBlock = 0L
+      while (rows.hasNext) {
+        val row = rows.next()
+        val u = draw(rng) // every row draws, as `rand(seed)` does
+        val slot = if (row.isNullAt(0)) unkeyed else {
+          val b = row.getLong(0)
+          if (cur == null || b != curBlock) {
+            curBlock = b
+            cur = blocks.getOrElseUpdate(b, new Fixed(rate(b), bounds(b)))
+          }
+          cur
+        }
+        slot.rows += 1
+        if (u < slot.rate && !row.isNullAt(1)) slot.take(u, row.getDouble(1) + shift)
       }
+      blocks.iterator.map { case (b, s) => s.sample.rows = s.rows; b -> s.sample }.toArray
     }
     merge(parts.iterator.flatten)
   }
 
   /** One partition's candidates for one group (a block, or 0 for a pooled
     * stream): the group's rows there, the bound its candidates were kept
-    * below, and the draw `us` and raw value `as` of each, in row order.
+    * below, and the draw `us` and raw value `as` of each, in row order; or,
+    * for a stream whose rate `bound` was known in the scan, its sample
+    * `folded` at that rate, without boundaries or shift.
     */
-  private[core] final case class Drawn(group: Long, rows: Long, bound: Double, us: Array[Double], as: Array[Double])
+  private[core] final case class Drawn(group: Long, rows: Long, bound: Double, us: Array[Double], as: Array[Double],
+                                       folded: BlockSample = null) {
+    // Sent as one byte array: Java serialization copies a byte array at
+    // once but writes and reads a double array value by value, which cost
+    // a cold query about 0.3 s for noniid-b100's 6.5 MB (4 cores).
+    private def writeReplace(): AnyRef = {
+      val bytes = ByteBuffer.allocate(16 * us.length).order(ByteOrder.LITTLE_ENDIAN)
+      bytes.asDoubleBuffer().put(us).put(as)
+      new Drawn.Packed(group, rows, bound, bytes.array(), folded)
+    }
+  }
+
+  private[core] object Drawn {
+    private final class Packed(group: Long, rows: Long, bound: Double, bytes: Array[Byte], folded: BlockSample)
+        extends Serializable {
+      private def readResolve(): AnyRef = {
+        val doubles = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN).asDoubleBuffer()
+        val (us, as) = (new Array[Double](bytes.length / 16), new Array[Double](bytes.length / 16))
+        doubles.get(us).get(as)
+        Drawn(group, rows, bound, us, as, folded)
+      }
+    }
+  }
 
   /** Folds the candidates drawn below `rate(group)`, plus `shift` and split
     * by `bounds`, into each group's sample, merging partitions in the order
     * given: [[run]] at the draws' seed and at that rate, bounds and shift,
     * bit for bit. None if a partition's bound is below its group's rate,
-    * since its candidates may lack rows that rate samples.
+    * since its candidates may lack rows that rate samples, or a folded
+    * sample's rate is not its group's.
     */
   private[core] def replay(drawn: Seq[Drawn], rate: Long => Double, bounds: Long => Option[Boundaries] = _ => None,
                            shift: Double = 0.0): Option[Map[Long, BlockSample]] =
-    Option.when(drawn.forall(d => rate(d.group) <= d.bound))(merge(drawn.iterator.map { d =>
-      val slot = new Fixed(rate(d.group), bounds(d.group))
-      var i = 0
-      while (i < d.us.length) { if (d.us(i) < slot.rate) slot.take(d.us(i), d.as(i) + shift); i += 1 }
-      slot.sample.rows = d.rows
-      d.group -> slot.sample
-    }))
+    Option.when(drawn.forall(d => if (d.folded == null) rate(d.group) <= d.bound else rate(d.group) == d.bound))(
+      merge(drawn.iterator.map { d =>
+        if (d.folded != null) d.group -> d.folded
+        else {
+          val slot = new Fixed(rate(d.group), bounds(d.group))
+          var i = 0
+          while (i < d.us.length) { if (d.us(i) < slot.rate) slot.take(d.us(i), d.as(i) + shift); i += 1 }
+          slot.sample.rows = d.rows
+          d.group -> slot.sample
+        }
+      }))
 
   /** Merges partitions' samples per block in the order given, as Spark's
     * final aggregate merges partitions.
@@ -162,90 +220,59 @@ object SampleAgg {
     sizes.toMap
   }
 
-  /** A σ pilot in each block at rate [[pilotRate]]`(k, block size)` that
-    * also counts every block's rows, so the rates are resolved only after
-    * the pass. Each partition keeps each block's rows drawn below
-    * [[pilotRate]]`(k, its rows so far)` as [[Candidates]], and the driver
-    * [[replay]]s them, so the pilot equals [[run]] at those rates bit for
-    * bit.
-    *
-    * @return rows per block, as [[Moments.blockSizes]] counts them, and
-    *         the pilot per block
-    */
-  private[core] def pilot(df: DataFrame, block: Column, value: Column, label: String, seed: Long,
-                          k: Int): (Map[Long, Long], Map[Long, BlockSample]) = {
-    val parts = scan(df, block, value, label, seed, 0.0)(_ => new PilotPartition(k))
-    val sizes = count(parts.iterator.map(_._1))
-    // A block's rows in a partition are at most its size, so no bound is below its rate.
-    (sizes, replay(parts.toSeq.flatMap(_._2), b => pilotRate(k, sizes(b))).get)
-  }
-
   /** What [[oneScan]] drew: rows per block, as [[Moments.blockSizes]]
     * counts them, and each stream's candidates, partition by partition.
     */
   private[core] final case class Speculation(sizes: Map[Long, Long], pilot: Seq[Drawn], sketch: Seq[Drawn],
                                              moments: Seq[Drawn])
 
-  /** The pooled σ pilot, sketch₀ and a moment pass in one scan, before any
-    * of their rates is known. Every row draws from three generators, those
-    * of [[run]] at `seed`, `seed + 1` and `seed + 2`:
-    *  - the σ pilot's draws go to the partition's [[Candidates]] below
-    *    [[pilotRate]]`(k, rows with a block id so far)`, which the σ
-    *    pilot's final rate `pilotRate(k, M)` cannot exceed;
-    *  - sketch₀'s draws, null block ids included, go to the partition's
-    *    candidates, and the moment pass's, null block ids skipped, to each
-    *    block's, below [[Margin]] × `sketchRate` or `momentRate` at the σ̂
-    *    of the partition's pilot candidates and at M: `size`, if known,
-    *    else the rows seen times the partitions. A known moment rate is its
-    *    own bound.
+  /** The σ pilot, sketch₀ and a moment pass in one scan, before any of
+    * their rates is known. Every row draws from three generators, those of
+    * [[run]] at `seed`, `seed + 1` and `seed + 2`. The pilot and sketch₀
+    * streams run per pilot group: the whole input, null block ids
+    * included, with `pooled`, else each block. Each stream keeps its
+    * group's candidates below a bound that only falls:
+    *  - the σ pilot below [[pilotRate]]`(k, rows with a block id so far)`
+    *    (pooled) or `(k, the block's rows so far)` (a block), which its
+    *    final rate `pilotRate(k, group size)` cannot exceed; when `sizes`
+    *    is given a block's pilot rate is known, and its pilot is folded
+    *    at that rate in the scan, as [[run]] folds it;
+    *  - sketch₀ below [[margin]] × `sketchRate` at the group's σ̂ (the
+    *    standard deviation of its pilot candidates) and size: its size in
+    *    `sizes`, else its rows seen times the partitions;
+    *  - the moment pass, per block, below its `momentRate` if known, else
+    *    below the margin × `momentRate` made of the partition's estimates
+    *    of every group (size, σ̂, and the pilot mean in place of sketch₀).
     *
-    * A partition's streams each keep at most `cap` ÷ partitions
-    * candidates; past that a stream keeps none and its bound is 0. Each
-    * stream, [[replay]]ed at its resolved rate, equals [[run]] over
-    * `lit(0L)` (the pilot and sketch₀) or `block` (the moment pass) at its
-    * seed, unless a partition's bound fell below that rate.
+    * A group's estimates are renewed when its pilot values reach a power
+    * of two of at least [[MinSigma]], and at the partition's end; its
+    * sketch₀ bound is lowered then, the moment bounds once an eighth of
+    * the groups have renewed, and each bound at its buffer's trims. A
+    * partition's streams each keep at most `cap` ÷ partitions candidates;
+    * past that a stream keeps none and its bounds are 0. Each stream,
+    * [[replay]]ed at its resolved rates, equals [[run]] over `lit(0L)`
+    * (pooled) or `block` at its seed, unless a partition's bound fell
+    * below its group's rate.
     *
-    * @param sketchRate sketch₀'s rate from σ̂ and M
-    * @param momentRate the moment pass's rate, or its rate from σ̂ and M
+    * @param sizes      rows per block, if known
+    * @param sketchRate sketch₀'s rate from σ̂ and a group's size
+    * @param momentRate each block's moment rate, or its rates from the pre-estimates
     */
   private[core] def oneScan(df: DataFrame, block: Column, value: Column, label: String, seed: Long, k: Int,
-                            size: Option[Long], sketchRate: (Double, Long) => Double,
-                            momentRate: Either[Double, (Double, Long) => Double], cap: Double): Speculation = {
-    val parts = scan(df, block, value, label, seed, 0.0, three = true)(n =>
-      new ScanPartition(k, n, size, sketchRate, momentRate, (cap / n).toLong))
-    Speculation(count(parts.iterator.map(_.rows)), parts.toSeq.flatMap(_.pilot), parts.toSeq.flatMap(_.sketch),
-      parts.toSeq.flatMap(_.moments))
-  }
-
-  /** The one row loop: every row draws from `seed`'s generator, goes to
-    * its block's slot (or the partition's slot for a null block id) and,
-    * when the draw is below the slot's rate and the value is not null, is
-    * taken by the slot, plus `shift`. With `three` streams, the row also
-    * draws from `seed + 1`'s and `seed + 2`'s generators, against the
-    * slot's `rate2` and `rate3`. Their branch is the only per-row cost a
-    * one-stream pass pays for them (a loop over an array of streams made
-    * `noniid-b100` queries about 10% slower on 4 cores).
-    *
-    * @param open a partition's state, given the number of partitions
-    */
-  private def scan[S <: Slot, R: ClassTag](df: DataFrame, block: Column, value: Column, label: String,
-                                           seed: Long, shift: Double, three: Boolean = false)(
-      open: Int => Partition[S, R]): Array[R] = {
-    val rdd = df.select(block.cast("long"), value.cast("double")).queryExecution.toRdd
-    val parts = rdd.getNumPartitions
-    val sc = df.sparkSession.sparkContext
-    val outer = sc.getLocalProperty("spark.job.description")
-    sc.setJobDescription(label)
-    try rdd.mapPartitionsWithIndex { (part, rows) =>
-      def generator(s: Long) = { val r = Rand(s); r.initialize(part); r }
-      val rng = generator(seed)
-      val (rng2, rng3) = if (three) (generator(seed + 1), generator(seed + 2)) else (null, null)
-      val acc = open(parts)
-      var cur: Slot = null
+                            pooled: Boolean, sizes: Option[Map[Long, Long]], sketchRate: (Double, Long) => Double,
+                            momentRate: PreEstimation.MomentRate, cap: Double): Speculation = {
+    val parts = job(df, block, value, label) { (part, n, rows) =>
+      val rng = generator(seed, part)
+      val rng2 = generator(seed + 1, part)
+      val rng3 = generator(seed + 2, part)
+      val acc = new ScanPartition(k, n, pooled, sizes, sketchRate, momentRate, (cap / n).toLong)
+      var cur: Speculating = null
       var curBlock = 0L
       while (rows.hasNext) {
         val row = rows.next()
-        val u = rng.eval(null).asInstanceOf[Double] // every row draws, as `rand(seed)` does
+        val u = draw(rng) // every row draws from each generator
+        val v = draw(rng2)
+        val w = draw(rng3)
         val slot = if (row.isNullAt(0)) acc.unkeyed else {
           val b = row.getLong(0)
           if (cur == null || b != curBlock) {
@@ -255,84 +282,130 @@ object SampleAgg {
           cur
         }
         slot.rows += 1
-        if (u < slot.rate && !row.isNullAt(1)) slot.take(u, row.getDouble(1) + shift)
-        if (rng2 != null) {
-          val v = rng2.eval(null).asInstanceOf[Double]
-          val w = rng3.eval(null).asInstanceOf[Double]
-          if (v < slot.rate2 && !row.isNullAt(1)) slot.take2(v, row.getDouble(1))
-          if (w < slot.rate3 && !row.isNullAt(1)) slot.take3(w, row.getDouble(1))
+        if (!row.isNullAt(1)) {
+          val a = row.getDouble(1)
+          if (u < slot.rate) slot.take(u, a)
+          if (v < slot.rate2) slot.take2(v, a)
+          if (w < slot.rate3) slot.take3(w, a)
         }
       }
-      Iterator.single(acc.result())
-    }.collect()
+      acc.result()
+    }
+    Speculation(count(parts.iterator.map(_.rows)), parts.toSeq.flatMap(_.pilot), parts.toSeq.flatMap(_.sketch),
+      parts.toSeq.flatMap(_.moments))
+  }
+
+  /** `rand(seed)`'s generator in partition `part`. */
+  private def generator(seed: Long, part: Int): java.util.Random = RandGenerator(seed, part)
+  private def draw(rng: java.util.Random): Double = rng.nextDouble()
+
+  /** Runs `part` on each partition's rows (block id, value), given the
+    * partition and the number of partitions, as one job labelled `label`,
+    * and returns its results in partition order. [[run]] and [[oneScan]]
+    * each have their own row loop, so that the JIT compiles each with its
+    * own profile: with one loop shared by both, a query's first
+    * three-stream scan deoptimized the loop compiled for the one-stream
+    * passes before it, and the first timed `noniid-b100` query took up to
+    * 1.1 s instead of 0.3 s (4 cores).
+    */
+  private def job[R: ClassTag](df: DataFrame, block: Column, value: Column, label: String)(
+      part: (Int, Int, Iterator[InternalRow]) => R): Array[R] = {
+    val rdd = df.select(block.cast("long"), value.cast("double")).queryExecution.toRdd
+    val parts = rdd.getNumPartitions
+    val sc = df.sparkSession.sparkContext
+    val outer = sc.getLocalProperty("spark.job.description")
+    sc.setJobDescription(label)
+    try rdd.mapPartitionsWithIndex((i, rows) => Iterator.single(part(i, parts, rows))).collect()
     finally sc.setJobDescription(outer)
   }
 
-  /** One partition's state: a slot per block id, one for null block ids. */
-  private abstract class Partition[S <: Slot, R] {
-    val blocks: mutable.LongMap[S] = mutable.LongMap.empty[S]
-    def unkeyed: Slot
-    def slot(b: Long): S
-    def result(): R
-  }
-
-  /** A block's rows in one partition; draws below `rate` are taken, and
-    * the other streams' below `rate2` and `rate3`.
+  /** A block's rows in one partition, sampled at a known rate and split
+    * by its boundaries, if any.
     */
-  private abstract class Slot {
+  private final class Fixed(val rate: Double, bounds: Option[Boundaries]) {
     var rows = 0L
-    var rate = 0.0
-    var rate2 = 0.0
-    var rate3 = 0.0
-    def take(u: Double, a: Double): Unit
-    def take2(u: Double, a: Double): Unit = ()
-    def take3(u: Double, a: Double): Unit = ()
-  }
-
-  /** A block sampled at a known rate, split by its boundaries, if any. */
-  private final class Fixed(r: Double, bounds: Option[Boundaries]) extends Slot {
-    rate = r
     val sample = new BlockSample(if (bounds.isEmpty) 1 else Region.all.size)
     def take(u: Double, a: Double): Unit = sample.add(a, bounds.fold(0)(_.classify(a).index))
   }
 
-  /** The falling bound of one or more [[Candidates]]: `start`, then at
-    * each trim the lower of itself and `rule()`, and 0 once its buffers
-    * hold more than `limit` candidates in all, so that they keep none.
+  /** One stream's candidates in one partition, all groups: once they
+    * number more than `limit` at a trim, the stream keeps none.
     */
-  private final class Bound(start: Double, rule: () => Double, limit: Long) {
-    var value: Double = start
+  private final class Stream(limit: Long) {
     val buffers = mutable.ArrayBuffer.empty[Candidates]
-    def lower(): Unit = {
-      value = math.min(value, rule())
-      if (buffers.iterator.map(_.size.toLong).sum > limit) value = 0.0
+    var over = false
+    def check(): Unit = if (!over && buffers.iterator.map(_.size.toLong).sum > limit) over = true
+  }
+
+  /** A stream's state for one group in one partition. */
+  private sealed trait Sampled {
+    def bound: Double
+    def offer(u: Double, a: Double): Unit
+    /** The number, mean and sample standard deviation of the values drawn
+      * below the bound, a uniform sample of the rows seen.
+      */
+    def stats(): (Int, Double, Double)
+    /** The state at the partition's end, as group `group` of `rows` rows. */
+    def drawn(group: Long, rows: Long): Drawn
+  }
+
+  /** Whether a stream's `n` values call for new estimates: a power of two of at least [[MinSigma]]. */
+  private def renewAt(n: Int): Boolean = n >= MinSigma && (n & (n - 1)) == 0
+
+  /** A stream at a known rate, folded as [[run]] folds it; `grown` is
+    * called when its sample reaches a power of two of at least [[MinSigma]].
+    */
+  private final class Folding(val bound: Double, grown: () => Unit) extends Sampled {
+    private val sample = new BlockSample(1)
+    private var n = 0
+    def offer(u: Double, a: Double): Unit = if (u < bound) {
+      sample.add(a, 0)
+      n += 1
+      if (renewAt(n)) grown()
+    }
+    def stats(): (Int, Double, Double) = (n, sample.avg, sample.sd)
+    def drawn(group: Long, rows: Long): Drawn = {
+      sample.rows = rows
+      Drawn(group, rows, bound, Array.emptyDoubleArray, Array.emptyDoubleArray, sample)
     }
   }
 
   /** A stream's candidates for one group in one partition, in row order:
-    * the draw and raw value of each row drawn below the bound's value at
-    * the time. The bound only falls, so the candidates hold every row drawn
-    * below its final value. Trims, when the buffer fills at `minTrim` or
-    * more and at the partition's end, lower the bound and drop the rows
-    * above it.
+    * the draw and raw value of each row drawn below the bound at the
+    * time. The bound only falls, so the candidates hold every row drawn
+    * below its final value. A trim, when the buffer fills at `minTrim` or
+    * more and at the partition's end, lowers the bound to `rule()`, if
+    * given (to 0 once the stream is over its limit), and drops the rows
+    * above it. `grown` is called whenever the buffer reaches a power of
+    * two of at least [[MinSigma]].
     */
-  private final class Candidates(val bound: Bound, minTrim: Int) {
-    bound.buffers += this
+  private final class Candidates(stream: Stream, start: Double, minTrim: Int, rule: () => Double = () => Double.NaN,
+                                 grown: () => Unit = null) extends Sampled {
+    stream.buffers += this
+    var bound: Double = start
     var size = 0
     private var us = new Array[Double](16)
     private var as = new Array[Double](16)
+
+    /** Lowers the bound to `b` if that is lower; a NaN `b` tells nothing. */
+    def lower(b: Double): Unit = if (b < bound) bound = b
+    def relower(): Unit = lower(rule())
 
     def offer(u: Double, a: Double): Unit = {
       if (size == us.length) {
         if (size >= minTrim) trim()
         if (2 * size > us.length) { us = Arrays.copyOf(us, 2 * us.length); as = Arrays.copyOf(as, us.length) }
       }
-      if (u < bound.value) { us(size) = u; as(size) = a; size += 1 }
+      if (u < bound) {
+        us(size) = u; as(size) = a; size += 1
+        if (grown != null && renewAt(size)) grown()
+      }
     }
 
     private def trim(): Unit = {
-      bound.lower()
-      val b = bound.value
+      stream.check()
+      if (stream.over) bound = 0.0 else relower()
+      val b = bound
       var kept, i = 0
       while (i < size) { // a `while` loop: a closure per trim costs tens of ms a scan
         if (us(i) < b) { us(kept) = us(i); as(kept) = as(i); kept += 1 }
@@ -341,88 +414,135 @@ object SampleAgg {
       size = kept
     }
 
-    /** The sample standard deviation of the values drawn below the bound,
-      * a uniform sample of the rows seen; NaN for fewer than `min` values.
-      */
-    def sigma(min: Int): Double = {
-      val b = bound.value
-      var n, sum, m2 = 0.0
+    def stats(): (Int, Double, Double) = {
+      val b = bound
+      var n = 0
+      var sum, m2 = 0.0
       var i = 0
       while (i < size) { if (us(i) < b) { n += 1; sum += as(i) }; i += 1 }
       val mean = sum / n
       i = 0
       while (i < size) { if (us(i) < b) m2 += (as(i) - mean) * (as(i) - mean); i += 1 }
-      if (n < math.max(min, 2)) Double.NaN else math.sqrt(m2 / (n - 1))
+      (n, mean, math.sqrt(m2 / (n - 1)))
     }
 
-    /** The candidates at the partition's end, as group `group` of `rows` rows. */
     def drawn(group: Long, rows: Long): Drawn = {
       trim()
-      Drawn(group, rows, bound.value, Arrays.copyOf(us, size), Arrays.copyOf(as, size))
+      Drawn(group, rows, bound, Arrays.copyOf(us, size), Arrays.copyOf(as, size))
     }
   }
 
-  /** A block in a [[pilot]] pass: its draws go to its own candidates,
-    * below [[pilotRate]]`(k, its rows so far)`.
+  /** A block's rows in a [[oneScan]] partition: its draws go to its
+    * group's pilot and sketch₀ state below `rate` and `rate2`, and to its
+    * own moment candidates below `rate3`. A null block id has no moment
+    * candidates, and a group only in a pooled scan.
     */
-  private final class Member(k: Int) extends Slot {
-    rate = 1.0
-    val group = new Candidates(new Bound(1.0, () => pilotRate(k, rows), Long.MaxValue), 2 * k)
-    def take(u: Double, a: Double): Unit = { group.offer(u, a); rate = group.bound.value }
+  private final class Speculating(group: ScanPartition#Group, val moments: Candidates) {
+    var rows = 0L
+    var rate: Double = if (group == null) 0.0 else group.pilot.bound
+    var rate2: Double = if (group == null) 0.0 else group.sketch.bound
+    var rate3: Double = if (moments == null) 0.0 else moments.bound
+    def take(u: Double, a: Double): Unit = { group.pilot.offer(u, a); rate = group.pilot.bound }
+    def take2(u: Double, a: Double): Unit = { group.sketch.offer(u, a); rate2 = group.sketch.bound }
+    def take3(u: Double, a: Double): Unit = { moments.offer(u, a); rate3 = moments.bound }
   }
 
-  /** A [[pilot]] pass's partition: its rows and candidates per block. */
-  private final class PilotPartition(k: Int) extends Partition[Member, (Array[(Long, Long)], Array[Drawn])] {
-    val unkeyed = new Fixed(0.0, None)
-    def slot(b: Long) = new Member(k)
-    def result() = (blocks.iterator.map { case (b, m) => b -> m.rows }.toArray,
-      blocks.iterator.map { case (b, m) => m.group.drawn(b, m.rows) }.toArray)
-  }
-
-  /** A block in a [[oneScan]] pass: each stream's draws go to its
-    * candidates (none for the moment pass when the block id is null).
+  /** A [[oneScan]] partition's result: its rows per block and each
+    * stream's candidates per group (none for a group without rows).
     */
-  private final class Speculating(pilot: Candidates, sketch: Candidates, val moments: Candidates) extends Slot {
-    rate = pilot.bound.value
-    rate2 = sketch.bound.value
-    rate3 = if (moments == null) 0.0 else moments.bound.value
-    def take(u: Double, a: Double): Unit = { pilot.offer(u, a); rate = pilot.bound.value }
-    override def take2(u: Double, a: Double): Unit = { sketch.offer(u, a); rate2 = sketch.bound.value }
-    override def take3(u: Double, a: Double): Unit = { moments.offer(u, a); rate3 = moments.bound.value }
-  }
-
-  /** A [[oneScan]] partition's result: its rows per block, the pooled σ
-    * pilot's and sketch₀'s candidates (none without rows) and each block's
-    * moment candidates.
-    */
-  private final case class ScanPart(rows: Array[(Long, Long)], pilot: Option[Drawn], sketch: Option[Drawn],
+  private final case class ScanPart(rows: Array[(Long, Long)], pilot: Array[Drawn], sketch: Array[Drawn],
                                     moments: Array[Drawn])
 
   /** A [[oneScan]] partition, one of `parts`. */
-  private final class ScanPartition(k: Int, parts: Int, size: Option[Long], sketchRate: (Double, Long) => Double,
-                                    momentRate: Either[Double, (Double, Long) => Double], limit: Long)
-      extends Partition[Speculating, ScanPart] {
+  private final class ScanPartition(k: Int, parts: Int, pooled: Boolean, sizes: Option[Map[Long, Long]],
+                                    sketchRate: (Double, Long) => Double,
+                                    momentRate: PreEstimation.MomentRate, limit: Long) {
+    val blocks = mutable.LongMap.empty[Speculating]
+    private val pilots, sketches, momentStream = new Stream(limit)
+    private val groups = mutable.LongMap.empty[Group]
+    /** Estimates renewed since the moment bounds were last lowered. */
+    private var renewed = 0
+
     /** Rows with a block id so far: the rows of M this partition has seen. */
     private def counted: Long = blocks.valuesIterator.map(_.rows).sum
-    /** σ̂ of the pilot candidates as of the pilot's last trim (NaN before k/2 of them). */
-    private var sigma = Double.NaN
-    private val pilot: Candidates =
-      new Candidates(new Bound(1.0, () => { sigma = pilot.sigma(k / 2); pilotRate(k, counted) }, limit), 2 * k)
-    // A speculative bound: c × `rate` at σ̂ and at M or, if the partitions
-    // are alike, its guess from the rows seen.
-    private def speculate(rate: (Double, Long) => Double) = new Bound(1.0, { () =>
-      val m = size.getOrElse(counted * parts)
-      if (sigma.isNaN || m == 0) 1.0 else Margin * rate(sigma, m)
-    }, limit)
-    private val sketch = new Candidates(speculate(sketchRate), 2 * k)
-    private val moments = momentRate.fold(r => new Bound(r, () => r, limit), speculate)
-    val unkeyed = new Speculating(pilot, sketch, null)
-    def slot(b: Long) = new Speculating(pilot, sketch, new Candidates(moments, 2 * k))
-    def result() = {
-      val rows = unkeyed.rows + counted
-      // The pilot's final trim first: the others' bounds read its σ̂.
-      val pooled = Option.when(rows > 0)(pilot.drawn(0L, rows) -> sketch.drawn(0L, rows))
-      ScanPart(blocks.iterator.map { case (b, s) => b -> s.rows }.toArray, pooled.map(_._1), pooled.map(_._2),
+
+    /** A pilot group's pilot and sketch₀ candidates, and its estimates as
+      * of the last time its pilot candidates reached a power of two.
+      */
+    final class Group(val id: Long) {
+      var count = 0
+      var sigma, mean = Double.NaN
+      private val known = if (pooled) sizes.map(_.values.sum) else sizes.flatMap(_.get(id))
+      private def seen: Long = if (pooled) counted else blocks(id).rows
+      /** The group's size, or, if the partitions are alike, its guess. */
+      def size: Long = known.getOrElse(seen * parts)
+      /** The group's rows here; a pooled group's include null block ids. */
+      def rows: Long = if (pooled) unkeyed.rows + counted else seen
+      def estimated: Boolean = count > 0 && finite(sigma) && finite(mean) && size > 0
+      val pilot: Sampled =
+        if (pooled || sizes.isEmpty) new Candidates(pilots, 1.0, 2 * k, () => pilotRate(k, seen), () => renew())
+        else new Folding(known.fold(0.0)(pilotRate(k, _)), () => renew())
+      val sketch = new Candidates(sketches, 1.0, 2 * k,
+        () => if (estimated) margin(count) * sketchRate(sigma, size) else Double.NaN)
+
+      /** Renews the estimates from the pilot candidates, if there are
+        * [[MinSigma]] of them, and lowers the sketch₀ bound.
+        */
+      def estimate(): Boolean = {
+        val (n, m, sd) = pilot.stats()
+        if (n >= MinSigma) { count = n; mean = m; sigma = sd; sketch.relower() }
+        n >= MinSigma
+      }
+
+      // The moment bounds read every group's estimates: they are lowered
+      // once an eighth of the groups have renewed theirs.
+      private def renew(): Unit = if (estimate()) {
+        renewed += 1
+        if (8 * renewed >= groups.size) lowerMoments()
+      }
+    }
+
+    private def finite(x: Double) = !x.isNaN && !x.isInfinite
+    private def group(b: Long): Group = { val g = if (pooled) 0L else b; groups.getOrElseUpdate(g, new Group(g)) }
+
+    /** The moment rates at the partition's estimates; null before any, or
+      * if the rate fails on them.
+      */
+    private def momentRates(): Long => Double = momentRate.fold(_ => null, rate =>
+      try rate(groups.valuesIterator.filter(_.estimated).map(g => BlockPre(g.id, g.size, g.sigma, g.mean, 0.0)).toSeq)
+      catch { case NonFatal(_) => null })
+
+    /** A block's speculative moment bound: the margin times its rate at
+      * the partition's estimates, once its group is estimated.
+      */
+    private def momentBound(b: Long, rates: Long => Double): Double = {
+      val g = group(b)
+      if (rates == null || !g.estimated) Double.NaN
+      else try margin(g.count) * rates(b) catch { case NonFatal(_) => Double.NaN }
+    }
+
+    private def lowerMoments(): Unit = {
+      renewed = 0
+      val rates = momentRates()
+      if (rates != null) blocks.foreach { case (b, s) => s.moments.lower(momentBound(b, rates)) }
+    }
+
+    val unkeyed = new Speculating(if (pooled) group(0L) else null, null)
+    def slot(b: Long): Speculating = {
+      val moments = momentRate.fold(r => new Candidates(momentStream, r(b), 2 * k),
+        _ => new Candidates(momentStream, 1.0, 2 * k, () => momentBound(b, momentRates())))
+      moments.relower()
+      new Speculating(group(b), moments)
+    }
+
+    def result(): ScanPart = {
+      // The pilots' final trims and estimates first: the other bounds read them.
+      val live = groups.valuesIterator.filter(_.rows > 0).toArray
+      val pilot = live.map(g => g.pilot.drawn(g.id, g.rows))
+      live.foreach(_.estimate())
+      lowerMoments()
+      ScanPart(blocks.iterator.map { case (b, s) => b -> s.rows }.toArray, pilot,
+        live.map(g => g.sketch.drawn(g.id, g.rows)),
         blocks.iterator.map { case (b, s) => s.moments.drawn(b, s.rows) }.toArray)
     }
   }

@@ -216,8 +216,11 @@ class IslaSpec extends SparkSpec {
       val df = (0 until 1000).map(i => (if (i == 500) bad else 100.0 + i % 7, (i % 3).toLong))
         .toDF("price", "block")
       val all = p.copy(rateOverride = Some(1.0))
+      val sizes = Some(Moments.blockSizes(df))
+      // Non-i.i.d. ISLA also at its Eq. 1 rate: its pilots take every row of these small blocks.
       val runs = Seq[() => Any](
         () => Isla.run(df, "price", all), () => IslaNonIid.run(df, "price", all),
+        () => IslaNonIid.run(df, "price", all, sizes), () => IslaNonIid.run(df, "price", p, sizes),
         () => MeasureBiased.runMVB(df, "price", 1.0, p))
       runs.foreach { run =>
         val e = intercept[IllegalArgumentException](run())

@@ -120,23 +120,35 @@ class SampleAggSpec extends SparkSpec {
     import spark.implicits._
     val k = 5 // candidates are trimmed whenever 16 are buffered
     def fields(s: BlockSample) = (s.rows, s.regions.toSeq, s.n, s.sd, s.min, s.avg)
+    def scan(seed: Long, pooled: Boolean, sizes: Option[Map[Long, Long]], df: DataFrame) =
+      SampleAgg.oneScan(df, col("block"), col("value"), "test", seed, k, pooled, sizes, (_, _) => 1.0,
+        Left(_ => 0.1), 4e6)
     for (contiguous <- Seq(false, true)) {
       val df = CountedInput(spark, contiguous).cache()
       try {
         assert(df.rdd.getNumPartitions >= 6)
-        val (sizes, perBlock) = SampleAgg.pilot(df, col("block"), col("value"), "test", 15L, k)
+        // Per block, in one scan: the count skips null block ids, and so do the pilots.
+        val perBlock = scan(15L, pooled = false, None, df)
+        val sizes = perBlock.sizes
         Oracle.assertEquivalent(sizes.toSeq.toDF("block", "n"),
           "SELECT block, count(*) AS n FROM t WHERE block IS NOT NULL GROUP BY block", "t" -> df)
         assert(sizes == Moments.blockSizes(df))
-        val expected = SampleAgg.run(df, col("block"), col("value"), "test", 15L, b => SampleAgg.pilotRate(k, sizes(b)))
-        assert(perBlock.keySet == expected.keySet && perBlock.values.map(_.n).sum > 0)
-        expected.foreach { case (b, s) => assert(fields(perBlock(b)) == fields(s), s"block $b, contiguous=$contiguous") }
+        val rates: Long => Double = b => SampleAgg.pilotRate(k, sizes(b))
+        val expected = SampleAgg.run(df, col("block"), col("value"), "test", 15L, rates)
+        for ((given, drawn) <- Seq(false -> perBlock, true -> scan(15L, pooled = false, Some(sizes), df))) {
+          val clue = s"contiguous=$contiguous, sizes given: $given"
+          // Given sizes, a block's pilot rate is known: the scan folds the pilot at it.
+          if (given) drawn.pilot.foreach(d => assert(d.bound == rates(d.group) && d.folded != null, clue))
+          val got = SampleAgg.replay(drawn.pilot, rates).get
+          assert(got.keySet == expected.keySet && got.values.map(_.n).sum > 0, clue)
+          expected.foreach { case (b, s) => assert(fields(got(b)) == fields(s), s"block $b, $clue") }
+        }
 
         // Pooled, in one scan: the count skips null block ids, the pilot still draws from them.
-        val scan = SampleAgg.oneScan(df, col("block"), col("value"), "test", 16L, k, None, (_, _) => 1.0, Left(0.1), 4e6)
-        assert(scan.sizes == sizes)
+        val pooledScan = scan(16L, pooled = true, None, df)
+        assert(pooledScan.sizes == sizes)
         val rate = SampleAgg.pilotRate(k, sizes.values.sum)
-        val pooled = SampleAgg.replay(scan.pilot, _ => rate).get
+        val pooled = SampleAgg.replay(pooledScan.pilot, _ => rate).get
         val all = SampleAgg.run(df, lit(0L), col("value"), "test", 16L, _ => rate)
         assert(pooled.keySet == Set(0L) && pooled(0L).n > 0)
         assert(fields(pooled(0L)) == fields(all(0L)), s"contiguous=$contiguous")
@@ -150,45 +162,57 @@ class SampleAggSpec extends SparkSpec {
       assert(got.keySet == expected.keySet, clue)
       expected.foreach { case (b, s) => assert(fields(got(b)) == fields(s), s"block $b, $clue") }
     }
-    // Rates that read σ̂ and M as Eq. 1 does; k = 5 trims the buffers many times.
-    val k = 5
+    // Rates that read σ̂ and the group sizes as Eq. 1 does; with k = 600 a
+    // pooled pilot buffer is trimmed and a block's pilot, at k/nⱼ ≈ 0.1,
+    // still reaches 64 values in a partition.
+    val k = 600
     val sketchRate: (Double, Long) => Double = (sigma, m) => math.min(1.0, 3 * sigma / m)
-    val momentRate: (Double, Long) => Double = (sigma, m) => math.min(1.0, 100 * sigma / m)
+    val momentRate: Seq[BlockPre] => Long => Double = { pres =>
+      val r = math.min(1.0, 100 * pres.map(_.sigma).max / pres.map(_.size).sum)
+      _ => r
+    }
     val split: Long => Option[Boundaries] = b => Some(Boundaries(97.5 + b, 30.0, 0.5, 2.0))
-    for (contiguous <- Seq(false, true); given <- Seq(false, true);
-         moments <- Seq[Either[Double, (Double, Long) => Double]](Right(momentRate), Left(0.3))) {
+    for (contiguous <- Seq(false, true); pooled <- Seq(true, false); given <- Seq(false, true);
+         moments <- Seq[PreEstimation.MomentRate](Right(momentRate), Left(_ => 0.3))) {
       val df = CountedInput(spark, contiguous).cache()
       try {
         val sizes = Moments.blockSizes(df)
-        val clue = s"contiguous=$contiguous, sizes given: $given, moment rate $moments"
-        val scan = SampleAgg.oneScan(df, col("block"), col("value"), "test", 21L, k,
-          Option.when(given)(sizes.values.sum), sketchRate, moments, 4e6)
+        val clue = s"contiguous=$contiguous, pooled=$pooled, sizes given: $given, moment rate $moments"
+        val scan = SampleAgg.oneScan(df, col("block"), col("value"), "test", 21L, k, pooled,
+          Option.when(given)(sizes), sketchRate, moments, 4e6)
         assert(scan.sizes == sizes, clue)
-        assert(scan.pilot.size == 8 && scan.sketch.size == 8 && scan.moments.map(_.group).toSet == sizes.keySet, clue)
+        val groups = if (pooled) Set(0L) else sizes.keySet
+        assert(scan.pilot.size == (if (pooled) 8 else scan.moments.size), clue)
+        for (d <- scan.pilot ++ scan.sketch) assert(groups(d.group), clue)
+        assert(scan.moments.map(_.group).toSet == sizes.keySet, clue)
         for (d <- scan.pilot ++ scan.sketch ++ scan.moments) assert(d.us.forall(_ < d.bound), clue)
 
-        // Each stream, replayed at its lowest bound, is the pass at that rate.
-        def lowest(drawn: Seq[SampleAgg.Drawn]) = drawn.map(_.bound).min
+        // Each stream, replayed at each group's lowest bound, is the pass at those rates.
+        def lowest(drawn: Seq[SampleAgg.Drawn]): Map[Long, Double] =
+          drawn.groupBy(_.group).map { case (g, ds) => g -> ds.map(_.bound).min }
+        val grouped = if (pooled) lit(0L) else col("block")
         val p = lowest(scan.pilot)
-        same(SampleAgg.replay(scan.pilot, _ => p).get, SampleAgg.run(df, lit(0L), col("value"), "test", 21L, _ => p), clue)
+        same(SampleAgg.replay(scan.pilot, p).get, SampleAgg.run(df, grouped, col("value"), "test", 21L, p), clue)
         val s = lowest(scan.sketch)
-        assert(s > 0 && s < 1, clue)
-        same(SampleAgg.replay(scan.sketch, _ => s).get,
-          SampleAgg.run(df, lit(0L), col("value"), "test", 22L, _ => s), clue)
+        assert(s.values.min > 0 && s.values.min < 1, s"$clue: $s")
+        same(SampleAgg.replay(scan.sketch, s).get, SampleAgg.run(df, grouped, col("value"), "test", 22L, s), clue)
         val m = lowest(scan.moments)
-        assert(m > 0 && m < 1 && moments.left.forall(_ == m), clue)
+        assert(m.values.min > 0 && m.values.min < 1 && moments.left.forall(_ => m.values.forall(_ == 0.3)), clue)
         for (shift <- Seq(0.0, 117.5); bounds <- Seq[Long => Option[Boundaries]](_ => None, split))
-          same(SampleAgg.replay(scan.moments, _ => m, bounds, shift).get,
-            SampleAgg.run(df, col("block"), col("value"), "test", 23L, _ => m, bounds, shift), s"$clue, shift $shift")
-        val regions = SampleAgg.replay(scan.moments, _ => m, split, 117.5).get.values.map(_.regions.map(_.n))
+          same(SampleAgg.replay(scan.moments, m, bounds, shift).get,
+            SampleAgg.run(df, col("block"), col("value"), "test", 23L, m, bounds, shift), s"$clue, shift $shift")
+        val regions = SampleAgg.replay(scan.moments, m, split, 117.5).get.values.map(_.regions.map(_.n))
           .reduce(_.zip(_).map(t => t._1 + t._2))
         assert(regions.forall(_ > 0), s"every region is sampled: ${regions.toSeq}")
 
         // Above a partition's bound the candidates may lack rows: no replay.
         assert(SampleAgg.replay(scan.sketch, _ => scan.sketch.map(_.bound).max * 1.01).isEmpty, clue)
-        // Over the cap, a stream keeps nothing and its bound is 0.
-        val capped = SampleAgg.oneScan(df, col("block"), col("value"), "test", 21L, k, None, sketchRate, moments, 0.0)
-        for (d <- capped.pilot ++ capped.sketch ++ capped.moments) assert(d.bound == 0.0 && d.us.isEmpty, clue)
+        // Over the cap, a stream keeps nothing and its bound is 0; a folded pilot keeps no candidates.
+        val capped = SampleAgg.oneScan(df, col("block"), col("value"), "test", 21L, k, pooled,
+          Option.when(given)(sizes), sketchRate, moments, 0.0)
+        val folded = !pooled && given
+        for (d <- capped.pilot) assert(d.folded != null == folded && (folded || d.bound == 0.0 && d.us.isEmpty), clue)
+        for (d <- capped.sketch ++ capped.moments) assert(d.bound == 0.0 && d.us.isEmpty, clue)
         assert(capped.sizes == sizes, clue)
       } finally { df.unpersist(); () }
     }
@@ -228,8 +252,10 @@ class SampleAggSpec extends SparkSpec {
       val calls = Seq[(String, Int, () => Any)](
         ("Isla.run with sizes", 1, () => Isla.run(df, "value", p, Some(sizes))),
         ("Isla.run without sizes", 1, () => Isla.run(df, "value", p)),
-        ("IslaNonIid.run", 3, () => IslaNonIid.run(df, "value", p, Some(sizes))),
-        ("IslaNonIid.run without sizes", 3, () => IslaNonIid.run(df, "value", p)),
+        ("IslaNonIid.run", 1, () => IslaNonIid.run(df, "value", p, Some(sizes))),
+        ("IslaNonIid.run without sizes", 1, () => IslaNonIid.run(df, "value", p)),
+        ("IslaNonIid.preEstimate", 1, () => IslaNonIid.preEstimate(df, "value", sizes, p)),
+        ("PreEstimation.run", 1, () => PreEstimation.run(df, "value", sizes.values.sum, p)),
         ("US", 1, () => UniformSampling.run(df, "value", 0.1)),
         ("STS", 1, () => StratifiedSampling.run(df, "value", 0.1, Some(sizes))),
         ("STS without sizes", 1, () => StratifiedSampling.run(df, "value", 0.1)),
@@ -255,8 +281,7 @@ class SampleAggSpec extends SparkSpec {
       val calls = Seq[(() => Any, Seq[String])](
         (() => Isla.run(df, "value", p), Seq("ISLA σ pilot + sketch₀ + moments")),
         (() => MeasureBiased.runMVB(df, "value", 0.1, p), Seq("MVB σ pilot + sketch₀ + moments")),
-        (() => IslaNonIid.run(df, "value", p),
-          Seq("ISLA non-i.i.d. σ pilot", "ISLA non-i.i.d. sketch₀", "ISLA non-i.i.d. moments")),
+        (() => IslaNonIid.run(df, "value", p), Seq("ISLA non-i.i.d. σ pilot + sketch₀ + moments")),
       )
       calls.foreach { case (call, phases) =>
         val (descriptions, _) = logJobs {
@@ -268,36 +293,69 @@ class SampleAggSpec extends SparkSpec {
     } finally { sc.setJobDescription(null); df.unpersist(); () }
   }
 
-  test("Isla.run and MVB agree from one scan, with fusedCap 0 and on a miss") {
-    // A value-sorted input: each partition's σ̂ is far below the pooled σ̂,
-    // so the speculative bounds miss and sketch₀ (and an unknown moment
-    // rate) run again as their own passes.
+  test("Isla.run, IslaNonIid.run and MVB agree from one scan, with fusedCap 0 and on a miss") {
+    // A value-sorted input: each partition's σ̂ is far below the pooled σ̂
+    // (and each block's), so the speculative bounds miss and sketch₀ (and
+    // an unknown moment rate) run again as their own passes. It is sorted
+    // on the driver and cut into 8 equal slices, so that its layout does
+    // not depend on a range partitioner's sample.
+    def valueSorted(): DataFrame = {
+      import spark.implicits._
+      val rows = CountedInput(spark, contiguous = false).as[(Option[Long], Option[Double])].collect()
+        .sortBy(r => (r._2.getOrElse(Double.NegativeInfinity), r._1.getOrElse(Long.MinValue)))(
+          Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long))
+      spark.sparkContext.parallelize(rows.toSeq, 8).toDF("block", "value")
+    }
     val p = IslaParams(e = 1.0)
-    val inputs = Seq[(String, () => DataFrame, Boolean)](
-      ("interleaved", () => CountedInput(spark, contiguous = false), false),
-      ("contiguous", () => CountedInput(spark, contiguous = true), false),
+    val inputs = Seq[(String, () => DataFrame)](
+      ("interleaved", () => CountedInput(spark, contiguous = false)),
+      ("contiguous", () => CountedInput(spark, contiguous = true)),
       ("constant", () => CountedInput(spark, contiguous = true)
-        .withColumn("value", when(col("value").isNotNull, lit(7.5))), false),
-      ("value-sorted", () => CountedInput(spark, contiguous = false)
-        .repartitionByRange(8, col("value")).sortWithinPartitions("value"), true))
-    for ((input, make, misses) <- inputs) {
+        .withColumn("value", when(col("value").isNotNull, lit(7.5)))),
+      ("value-sorted", () => valueSorted()))
+    // Field for field; non-i.i.d. ISLA's sketch0 is NaN.
+    def same(a: Any, b: Any) = (a, b) match {
+      case (x: IslaResult, y: IslaResult) =>
+        x.copy(sketch0 = 0.0) == y.copy(sketch0 = 0.0) && x.sketch0.equals(y.sketch0)
+      case _ => a == b
+    }
+    val nonIid = "ISLA non-i.i.d."
+    for ((input, make) <- inputs) {
       val df = make().cache()
       try {
         df.count()
         val sizes = Moments.blockSizes(df)
-        val calls = Seq[(String, Option[Map[Long, Long]] => Any, Seq[String])](
-          ("ISLA", Isla.run(df, "value", p, _, seed = 61), Seq("sketch₀", "moments")),
-          ("ISLA", Isla.run(df, "value", p.copy(rateOverride = Some(0.2)), _, seed = 63), Seq("sketch₀")),
-          ("MVB", MeasureBiased.runMVB(df, "value", 0.2, p, _, seed = 62), Seq("sketch₀")))
+        val sorted = input == "value-sorted"
+        // Without sizes, non-i.i.d. ISLA guesses a block's size as its rows
+        // seen times the partitions, which falls short on contiguous blocks,
+        // and so does its moment rate at a fixed overall rate. A value-sorted
+        // input at a fixed rate and known sizes leaves the leverages, and so
+        // the moment rates, as they are.
+        def nonIidMissed(fixed: Boolean)(known: Boolean): Seq[String] = input match {
+          case "interleaved" => Nil
+          case "value-sorted" => if (fixed && known) Seq("sketch₀") else Seq("sketch₀", "moments")
+          case _ => if (known) Nil else if (fixed) Seq("sketch₀", "moments") else Seq("sketch₀")
+        }
+        // The passes each call runs again, by whether sizes are given.
+        val calls = Seq[(String, Option[Map[Long, Long]] => Any, Boolean => Seq[String])](
+          ("ISLA", Isla.run(df, "value", p, _, seed = 61), _ => if (sorted) Seq("sketch₀", "moments") else Nil),
+          ("ISLA", Isla.run(df, "value", p.copy(rateOverride = Some(0.2)), _, seed = 63),
+            _ => if (sorted) Seq("sketch₀") else Nil),
+          ("MVB", MeasureBiased.runMVB(df, "value", 0.2, p, _, seed = 62), _ => if (sorted) Seq("sketch₀") else Nil),
+          (nonIid, IslaNonIid.run(df, "value", p, _, seed = 64), nonIidMissed(fixed = false)),
+          (nonIid, IslaNonIid.run(df, "value", p.copy(rateOverride = Some(0.2)), _, seed = 65),
+            nonIidMissed(fixed = true)))
         for ((name, call, missed) <- calls; given <- Seq(None, Some(sizes))) {
           val clue = s"$name on $input input, sizes given: ${given.nonEmpty}"
           val scan = s"$name σ pilot + sketch₀ + moments"
           var once, separate: Any = null
           val (jobs, _) = logJobs { once = call(given) }
           val (separateJobs, _) = logJobs { separate = PreEstimation.fusedCap.withValue(0.0)(call(given)) }
-          assert(jobs == scan +: (if (misses) missed.map(s"$name " + _) else Nil), clue)
-          assert(separateJobs == Seq(scan, s"$name σ pilot", s"$name sketch₀", s"$name moments"), clue)
-          assert(once == separate, clue)
+          assert(jobs == scan +: missed(given.nonEmpty).map(s"$name " + _), clue)
+          // A non-i.i.d. pilot at known sizes is folded in the scan, whatever the cap.
+          val rerun = (if (name == nonIid && given.nonEmpty) Nil else Seq("σ pilot")) ++ Seq("sketch₀", "moments")
+          assert(separateJobs == scan +: rerun.map(s"$name " + _), clue)
+          assert(same(once, separate), s"$clue:\n$once\n$separate")
         }
       } finally { df.unpersist(); () }
     }
@@ -336,6 +394,51 @@ class SampleAggSpec extends SparkSpec {
       assert(jobs == Seq("ISLA σ pilot + sketch₀ + moments"))
       val sent = listener.synchronized(bytes)
       assert(sent > 16 * 24586 && sent < bound, s"task results: $sent bytes, bound ${bound.toLong}")
+    } finally { df.unpersist(); () }
+  }
+
+  test("IslaNonIid.run with sizes sends about c·(m + m₀) candidates, not P·b·k") {
+    // From DESIGN §5: M = 4·10⁵ rows in P = 4 partitions, b = 10 blocks of
+    // 40 000 cycling the five §VIII-D specs (σⱼ = 20, 10, 30, 60, 40),
+    // e = 1, β = 0.95, u² = 3.8415. Eq. 1 asks for m₀ =
+    // Σⱼ⌈u²σⱼ²/(t_e·e)²⌉ = 2·(171 + 43 + 385 + 1537 + 683) = 5 638 sketch₀
+    // samples and, at the pooled σ² = 1320 + 1160 = 2480, for
+    // m = ⌈u²·2480/e²⌉ = 9 527 moment samples. A block's pilot rate k/nⱼ
+    // is known, so the scan folds the pilots and sends no pilot
+    // candidates; each block's σ̂ rests on about k/P = 500 pilot values, so
+    // c = 1.5. In all 1.5·(9 527 + 5 638) ≈ 22 700 candidates, 16 B each:
+    // 0.36 MB, and 25% more for framing. Pilot candidates below k/nⱼ
+    // would add b·k = 20 000 (0.32 MB), a falling per-block pilot bound
+    // P·b·k = 80 000 (1.28 MB).
+    val bound = 16 * 1.5 * (9527 + 5638) * 1.25
+    val specs = Distributions.nonIidSpecs
+    val blockId = col("id") % 10
+    val spec = (blockId % specs.size + 1).cast("int")
+    val df = spark.range(0, 400000, 1, 4).select(
+      (element_at(typedLit(specs.map(_._1)), spec) + element_at(typedLit(specs.map(_._2)), spec) * randn(81))
+        .as("value"),
+      blockId.as("block")).cache()
+    val sc = spark.sparkContext
+    try {
+      df.count()
+      val sizes = Moments.blockSizes(df)
+      val p = IslaParams(e = 1.0)
+      IslaNonIid.run(df, "value", p, Some(sizes), seed = 82) // warm up
+      ListenerBusDrain(sc)
+      var bytes = 0L
+      val listener = new SparkListener {
+        override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+          if (e.taskMetrics != null) bytes += e.taskMetrics.resultSize
+        }
+      }
+      sc.addSparkListener(listener)
+      val (jobs, _) = try logJobs(IslaNonIid.run(df, "value", p, Some(sizes), seed = 83)) finally {
+        ListenerBusDrain(sc)
+        sc.removeSparkListener(listener)
+      }
+      assert(jobs == Seq("ISLA non-i.i.d. σ pilot + sketch₀ + moments"))
+      val sent = listener.synchronized(bytes)
+      assert(sent > 16 * (9527 + 5638) && sent < bound, s"task results: $sent bytes, bound ${bound.toLong}")
     } finally { df.unpersist(); () }
   }
 }
