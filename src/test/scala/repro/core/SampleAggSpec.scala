@@ -293,7 +293,19 @@ class SampleAggSpec extends SparkSpec {
     } finally { sc.setJobDescription(null); df.unpersist(); () }
   }
 
-  test("Isla.run, IslaNonIid.run and MVB agree from one scan, with fusedCap 0 and on a miss") {
+  private val nonIid = "ISLA non-i.i.d."
+
+  /** A call under test: its job-label prefix, the call at given or unknown
+    * block sizes, and the passes it runs again as a function of whether
+    * sizes are given.
+    */
+  private type OneScanCall = (String, Option[Map[Long, Long]] => Any, Boolean => Seq[String])
+
+  /** Runs each of `calls(df, input)` on four inputs, with and without
+    * sizes, in one scan and at `fusedCap` 0, and checks the jobs each runs
+    * and that both give equal results.
+    */
+  private def agreeFromOneScan(calls: (DataFrame, String) => Seq[OneScanCall]): Unit = {
     // A value-sorted input: each partition's σ̂ is far below the pooled σ̂
     // (and each block's), so the speculative bounds miss and sketch₀ (and
     // an unknown moment rate) run again as their own passes. It is sorted
@@ -306,7 +318,6 @@ class SampleAggSpec extends SparkSpec {
           Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long))
       spark.sparkContext.parallelize(rows.toSeq, 8).toDF("block", "value")
     }
-    val p = IslaParams(e = 1.0)
     val inputs = Seq[(String, () => DataFrame)](
       ("interleaved", () => CountedInput(spark, contiguous = false)),
       ("contiguous", () => CountedInput(spark, contiguous = true)),
@@ -319,33 +330,12 @@ class SampleAggSpec extends SparkSpec {
         x.copy(sketch0 = 0.0) == y.copy(sketch0 = 0.0) && x.sketch0.equals(y.sketch0)
       case _ => a == b
     }
-    val nonIid = "ISLA non-i.i.d."
     for ((input, make) <- inputs) {
       val df = make().cache()
       try {
         df.count()
         val sizes = Moments.blockSizes(df)
-        val sorted = input == "value-sorted"
-        // Without sizes, non-i.i.d. ISLA guesses a block's size as its rows
-        // seen times the partitions, which falls short on contiguous blocks,
-        // and so does its moment rate at a fixed overall rate. A value-sorted
-        // input at a fixed rate and known sizes leaves the leverages, and so
-        // the moment rates, as they are.
-        def nonIidMissed(fixed: Boolean)(known: Boolean): Seq[String] = input match {
-          case "interleaved" => Nil
-          case "value-sorted" => if (fixed && known) Seq("sketch₀") else Seq("sketch₀", "moments")
-          case _ => if (known) Nil else if (fixed) Seq("sketch₀", "moments") else Seq("sketch₀")
-        }
-        // The passes each call runs again, by whether sizes are given.
-        val calls = Seq[(String, Option[Map[Long, Long]] => Any, Boolean => Seq[String])](
-          ("ISLA", Isla.run(df, "value", p, _, seed = 61), _ => if (sorted) Seq("sketch₀", "moments") else Nil),
-          ("ISLA", Isla.run(df, "value", p.copy(rateOverride = Some(0.2)), _, seed = 63),
-            _ => if (sorted) Seq("sketch₀") else Nil),
-          ("MVB", MeasureBiased.runMVB(df, "value", 0.2, p, _, seed = 62), _ => if (sorted) Seq("sketch₀") else Nil),
-          (nonIid, IslaNonIid.run(df, "value", p, _, seed = 64), nonIidMissed(fixed = false)),
-          (nonIid, IslaNonIid.run(df, "value", p.copy(rateOverride = Some(0.2)), _, seed = 65),
-            nonIidMissed(fixed = true)))
-        for ((name, call, missed) <- calls; given <- Seq(None, Some(sizes))) {
+        for ((name, call, missed) <- calls(df, input); given <- Seq(None, Some(sizes))) {
           val clue = s"$name on $input input, sizes given: ${given.nonEmpty}"
           val scan = s"$name σ pilot + sketch₀ + moments"
           var once, separate: Any = null
@@ -358,6 +348,39 @@ class SampleAggSpec extends SparkSpec {
           assert(same(once, separate), s"$clue:\n$once\n$separate")
         }
       } finally { df.unpersist(); () }
+    }
+  }
+
+  test("Isla.run and MVB agree from one scan, with fusedCap 0 and on a miss") {
+    val p = IslaParams(e = 1.0)
+    agreeFromOneScan { (df, input) =>
+      // Only the value-sorted input misses; the passes each call runs again.
+      val sorted = input == "value-sorted"
+      Seq[OneScanCall](
+        ("ISLA", Isla.run(df, "value", p, _, seed = 61), _ => if (sorted) Seq("sketch₀", "moments") else Nil),
+        ("ISLA", Isla.run(df, "value", p.copy(rateOverride = Some(0.2)), _, seed = 63),
+          _ => if (sorted) Seq("sketch₀") else Nil),
+        ("MVB", MeasureBiased.runMVB(df, "value", 0.2, p, _, seed = 62), _ => if (sorted) Seq("sketch₀") else Nil))
+    }
+  }
+
+  test("IslaNonIid.run agrees from one scan, with fusedCap 0 and on a miss") {
+    val p = IslaParams(e = 1.0)
+    agreeFromOneScan { (df, input) =>
+      // Without sizes, non-i.i.d. ISLA guesses a block's size as its rows
+      // seen times the partitions, which falls short on contiguous blocks,
+      // and so does its moment rate at a fixed overall rate. A value-sorted
+      // input at a fixed rate and known sizes leaves the leverages, and so
+      // the moment rates, as they are.
+      def missed(fixed: Boolean)(known: Boolean): Seq[String] = input match {
+        case "interleaved" => Nil
+        case "value-sorted" => if (fixed && known) Seq("sketch₀") else Seq("sketch₀", "moments")
+        case _ => if (known) Nil else if (fixed) Seq("sketch₀", "moments") else Seq("sketch₀")
+      }
+      Seq[OneScanCall](
+        (nonIid, IslaNonIid.run(df, "value", p, _, seed = 64), missed(fixed = false)),
+        (nonIid, IslaNonIid.run(df, "value", p.copy(rateOverride = Some(0.2)), _, seed = 65),
+          missed(fixed = true)))
     }
   }
 
