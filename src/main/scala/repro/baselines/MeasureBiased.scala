@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
-import repro.core.{Boundaries, IslaParams, PreEstimation, SampleAgg}
+import repro.core.{IslaParams, PreEstimation, SampleAgg}
 
 /** The measure-biased comparators of §VIII-C, re-implemented from the
   * paper's definitions (the sample+seek originals are closed source).
@@ -52,10 +52,8 @@ object MeasureBiased {
              sizes: Option[Map[Long, Long]] = None,
              blockCol: String = "block", seed: Long = 19L): BaselineResult = {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
-    val pilot =
-      PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "MVB", pooled = true, Left(_ => rate))
-    val (_, samples) = pilot.withMoments(0.0)(pr => Boundaries(pr.sketch0, pr.sigma, p.p1, p.p2))
-    val blocks = samples.toSeq.sortBy(_._1).filter(_._2.n > 0)
+    val blocks = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "MVB", pooled = true,
+      Left(_ => rate)).moments.toSeq.sortBy(_._1).filter(_._2.n > 0)
     require(blocks.nonEmpty, "MVB sample came back empty")
     // Per block Σ_reg (n_reg/m)·(Σa²/Σa); an all-zero region contributes nothing.
     val partials = blocks.map { case (b, s) =>

@@ -51,8 +51,9 @@ object StratifiedSampling {
     require(means.nonEmpty, "STS sample came back empty")
     val partials = blockSizes.keys.toSeq.sorted.map { b =>
       // A stratum whose sample is empty contributes its size with the
-      // overall sampled mean (no information → no correction).
-      b -> means.getOrElse(b, means.values.sum / math.max(means.size, 1))
+      // unweighted mean of the sampled strata's means (no information → no
+      // correction).
+      b -> means.getOrElse(b, means.values.sum / means.size)
     }
     val answer = partials.map { case (b, p) => p * blockSizes(b) }.sum / m
     BaselineResult(answer, partials)

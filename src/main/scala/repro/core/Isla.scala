@@ -40,13 +40,14 @@ object Isla {
 
   /** Run ISLA on a blocked DataFrame.
     *
-    * One scan ([[PreEstimation.oneScan]]) draws the σ pilot (seed),
-    * sketch₀ (seed+1) and the moment sample (seed+2), with or without
-    * `sizes`. The Eq.-1 rate and the footnote-1 shift follow from σ̂, and
-    * the S/L split from sketch₀, so each row drawn below a speculative
-    * bound is kept until the driver knows them. A pass whose candidates
-    * fall short of its rate, or exceed [[PreEstimation.fusedCap]], runs
-    * again on its own, with the same answer.
+    * One call to [[PreEstimation.oneScan]] draws the σ pilot (seed),
+    * sketch₀ (seed+1) and the moment sample (seed+2) in one scan, with or
+    * without `sizes`, and resolves them into one [[PreEstimation.Scan]].
+    * The Eq.-1 rate and the footnote-1 shift follow from σ̂, and the S/L
+    * split from sketch₀, so each row drawn below a speculative bound is
+    * kept until the driver knows them. A pass whose candidates fall short
+    * of its rate, or exceed [[PreEstimation.fusedCap]], runs again on its
+    * own, with the same answer. [[calculate]] modulates and merges.
     *
     * @param df       input with `valueCol` (numeric) and `blockCol` (block id)
     * @param valueCol aggregation column; a sampled NaN or ±Inf value is rejected
@@ -67,31 +68,23 @@ object Isla {
       else math.min(1.0, SampleSize.samplingRate(sigma, p.e, p.beta, m) * p.rateFraction)
     val momentRate: PreEstimation.MomentRate = p.rateOverride.map(r => (_: Long) => r)
       .toLeft { pres => val pr = pres.head; _ => eq1(pr.sigma, pr.size) }
-    val pilot = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "ISLA", pooled = true, momentRate)
-    val m = pilot.groups(0L)
-    val sigma = pilot.sigma(0L)
-    val rate = p.rateOverride.getOrElse(eq1(sigma, m))
-    val (pres, answer, shift, blocks) = calculate(pilot, p)
-    IslaResult(answer, pres.head.sketch0, sigma, rate, m, shift, blocks)
+    val scan = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "ISLA", pooled = true, momentRate,
+      shifted = true)
+    val pre = scan.pres.head
+    calculate(scan, p, pre.sketch0, pre.sigma, p.rateOverride.getOrElse(eq1(pre.sigma, pre.size)))
   }
 
-  /** Calculation and Summarization, shared by both pipelines: pass 2 of
-    * pre-estimation and one moment pass (Algorithm 1) at each block's
-    * rate ([[PreEstimation.SigmaPilot.withMoments]]), on the footnote-1
-    * shifted scale with each block's boundaries from its group's
-    * pre-estimate; then modulation (Algorithm 2) and the size-weighted
-    * merge, shifted back. Returns the pre-estimates, the answer, the shift
-    * and the blocks.
+  /** Calculation and Summarization, shared by both pipelines: modulation
+    * (Algorithm 2) of each block's moment sample from `scan`, on the
+    * footnote-1 shifted scale and against its group's sketch₀, then the
+    * size-weighted merge, shifted back. `sketch0`, `sigma` and `rate` are
+    * the pipeline's, reported as given.
     */
-  private[core] def calculate(pilot: PreEstimation.SigmaPilot,
-                              p: IslaParams): (Seq[BlockPre], Double, Double, Seq[BlockResult]) = {
-    val shift = pilot.shift
-    val (pres, samples) =
-      pilot.withMoments(shift)(pr => Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2))
-    val sketch0 = pres.map(pr => pr.block -> (pr.sketch0 + shift)).toMap
-    val blocks = Moments.of(samples, pilot.sizes)
-      .map(bm => Modulation.solveBlock(bm, sketch0(pilot.group(bm.block)), p))
-    (pres, summarize(blocks) - shift, shift, blocks)
+  private[core] def calculate(scan: PreEstimation.Scan, p: IslaParams, sketch0: Double, sigma: Double,
+                              rate: Double): IslaResult = {
+    val blocks = Moments.of(scan.moments, scan.sizes)
+      .map(bm => Modulation.solveBlock(bm, scan.pre(bm.block).sketch0 + scan.shift, p))
+    IslaResult(summarize(blocks) - scan.shift, sketch0, sigma, rate, scan.sizes.values.sum, scan.shift, blocks)
   }
 
   /** Summarization module (§II-C): Σ avg_j·|Bⱼ| / M. */

@@ -13,10 +13,11 @@ import org.apache.spark.sql.functions.col
   *    rate r comes from Eq. 1 with the pooled σ of the blocks' σⱼ and
   *    sketch₀ⱼ.
   *
-  * The per-block σ pilots, sketch₀ⱼ and the moment pass share one scan
-  * ([[PreEstimation.oneScan]]), with or without the block sizes. The
-  * footnote-1 shift, the moment pass, modulation and summarization are
-  * [[Isla.calculate]]'s, shared with the i.i.d. pipeline.
+  * The per-block σ pilots, sketch₀ⱼ and the moment pass share one scan,
+  * with or without the block sizes, which one call to
+  * [[PreEstimation.oneScan]] resolves, footnote-1 shift included.
+  * Modulation and summarization are [[Isla.calculate]]'s, shared with the
+  * i.i.d. pipeline.
   */
 object IslaNonIid {
 
@@ -33,7 +34,7 @@ object IslaNonIid {
       blockCol: String = "block",
       seed: Long = 7L,
   ): Seq[BlockPre] =
-    PreEstimation.oneScan(df, col(blockCol), valueCol, Some(sizes), p, seed, label, pooled = false).sketch0()
+    PreEstimation.oneScan(df, col(blockCol), valueCol, Some(sizes), p, seed, label, pooled = false).pres
 
   /** Block leverage `blevⱼ = (1+σⱼ²)/(b+Σσᵢ²)` (§VII-C). */
   def blockLeverages(pres: Seq[BlockPre]): Map[Long, Double] = {
@@ -44,12 +45,14 @@ object IslaNonIid {
 
   /** The pooled σ and the overall rate r from it (Eq. 1). The pooled σ is
     * the size-weighted mixture of each block's σⱼ and sketch₀ⱼ (law of
-    * total variance: E[σⱼ²] + Var[sketch₀ⱼ]).
+    * total variance: E[σⱼ²] + Var[sketch₀ⱼ]), with Var[sketch₀ⱼ] taken
+    * around the weighted mean s̄, Σnⱼ(sⱼ − s̄)²/M: as E[sⱼ²] − s̄² it
+    * cancels catastrophically, or goes negative, when s̄ is large against σ.
     */
   private def overallRate(pres: Seq[BlockPre], m: Long, p: IslaParams): (Double, Double) = {
+    val mean = pres.map(pr => pr.size.toDouble * pr.sketch0).sum / m
     val pooledSigma = math.sqrt(
-      pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + pr.sketch0 * pr.sketch0)).sum / m
-        - math.pow(pres.map(pr => pr.size.toDouble * pr.sketch0).sum / m, 2)
+      pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + (pr.sketch0 - mean) * (pr.sketch0 - mean))).sum / m
     ).max(1e-9)
     (pooledSigma, p.rateOverride.getOrElse(SampleSize.samplingRate(pooledSigma, p.e, p.beta, m) * p.rateFraction))
   }
@@ -73,10 +76,9 @@ object IslaNonIid {
       seed: Long = 7L,
   ): IslaResult = {
     // Without sizes, the σ pilots count the blocks' rows.
-    val pilot = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, label, pooled = false,
-      Right(rates(p)))
-    val (pres, answer, shift, blocks) = Isla.calculate(pilot, p)
-    val (pooledSigma, r) = overallRate(pres, pilot.sizes.values.sum, p)
-    IslaResult(answer, Double.NaN, pooledSigma, r, pilot.sizes.values.sum, shift, blocks)
+    val scan = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, label, pooled = false,
+      Right(rates(p)), shifted = true)
+    val (pooledSigma, r) = overallRate(scan.pres, scan.sizes.values.sum, p)
+    Isla.calculate(scan, p, Double.NaN, pooledSigma, r)
   }
 }

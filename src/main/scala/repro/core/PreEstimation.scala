@@ -24,7 +24,8 @@ final case class BlockPre(block: Long, size: Long, sigma: Double, sketch0: Doubl
   * No rate is known during the scan, so each pass keeps candidates below
   * a speculative bound, and the driver replays them once σ̂ fixes the
   * rates. A pass whose candidates cannot give its sample runs again on its
-  * own, with the same answer.
+  * own, with the same answer. [[oneScan]] resolves every pass in one call
+  * and returns one [[Scan]].
   */
 object PreEstimation {
 
@@ -44,6 +45,14 @@ object PreEstimation {
   /** No moment pass. */
   private val noMoments: MomentRate = Left(_ => 0.0)
 
+  /** What [[oneScan]] resolved: the block sizes, the groups'
+    * pre-estimates sorted by group, footnote 1's shift (0 unless
+    * `shifted`), the moment pass's samples per block, and the pre-estimate
+    * of a block's group.
+    */
+  private[repro] final case class Scan(sizes: Map[Long, Long], pres: Seq[BlockPre], shift: Double,
+                                       moments: Map[Long, BlockSample], pre: Long => BlockPre)
+
   /** Both pilot passes over the pooled input (the i.i.d. pipeline), in
     * one scan.
     *
@@ -54,7 +63,7 @@ object PreEstimation {
     * @param seed     RNG seed; pass 2 uses seed+1
     */
   def run(df: DataFrame, valueCol: String, dataSize: Long, p: IslaParams, seed: Long = 7L): BlockPre =
-    oneScan(df, lit(0L), valueCol, Some(Map(0L -> dataSize)), p, seed, "ISLA", pooled = true).sketch0().head
+    oneScan(df, lit(0L), valueCol, Some(Map(0L -> dataSize)), p, seed, "ISLA", pooled = true).pres.head
 
   /** sketch₀'s rate in a group of `n` rows with pilot σ̂ `sigma`: Eq. 1 at
     * the relaxed precision t_e·e; for a constant group any sample gives
@@ -68,90 +77,62 @@ object PreEstimation {
 
   /** Pass 1, pass 2 and a moment pass in one job
     * ([[SampleAgg.oneScan]], labelled "`label` σ pilot + sketch₀ +
-    * moments"), which also counts the blocks' rows without `sizes`. The
-    * σ pilot is resolved here, sketch₀ and the moment pass by
-    * [[SigmaPilot.sketch0]] and [[SigmaPilot.withMoments]]; a pass whose
-    * candidates cannot give its sample runs on its own (labelled
-    * "`label` σ pilot", "… sketch₀" or "… moments").
+    * moments"), which also counts the blocks' rows without `sizes`, then
+    * resolved in order on the driver:
+    *  - the σ pilot (seed), and each group's σ̂;
+    *  - footnote 1's shift, if `shifted`: when a pilot saw a value ≤ 0,
+    *    −(lowest pilot minimum) + max(largest σ̂, 1), which keeps every
+    *    value positive;
+    *  - sketch₀ (seed+1) at the relaxed Eq.-1 rate, and each group's
+    *    boundaries `Boundaries(sketch₀ + shift, σ̂, p₁, p₂)`;
+    *  - the moment pass (seed+2) at `momentRate`, plus the shift, split by
+    *    its block's group's boundaries.
+    *
+    * Each stream is replayed from the scan if it can be, else run as its
+    * own pass (labelled "`label` σ pilot", "… sketch₀" or "… moments"),
+    * and checked for NaN and ±Inf values once it is on the driver.
     *
     * @param pooled     one pilot group for the whole input (i.i.d.), else one per block
     * @param momentRate each block's moment rate, or its rates from the
     *                   groups' pre-estimates; 0 for no moment pass
+    * @param shifted    whether footnote 1's shift applies
     */
   private[repro] def oneScan(df: DataFrame, block: Column, valueCol: String, sizes: Option[Map[Long, Long]],
                             p: IslaParams, seed: Long, label: String, pooled: Boolean,
-                            momentRate: MomentRate = noMoments): SigmaPilot = {
+                            momentRate: MomentRate = noMoments, shifted: Boolean = false): Scan = {
     sizes.foreach(nonEmpty)
     val value = col(valueCol)
     val scan = SampleAgg.oneScan(df, block, value, s"$label σ pilot + sketch₀ + moments", seed, p.sigmaPilot,
       pooled, sizes, sketchRate(p), momentRate, fusedCap.value)
     val blockSizes = nonEmpty(sizes.getOrElse(scan.sizes))
     val groups = if (pooled) Map(0L -> blockSizes.values.sum) else blockSizes
-    val rates = groups.map { case (g, n) => g -> SampleAgg.pilotRate(p.sigmaPilot, n) }
-    val pilot = SampleAgg.replay(scan.pilot, rates.getOrElse(_, 0.0)).getOrElse(
-      SampleAgg.run(df, if (pooled) lit(0L) else block, value, s"$label σ pilot", seed, rates.getOrElse(_, 0.0)))
-    new SigmaPilot(df, block, valueCol, pooled, p, seed, label, blockSizes, groups, pilot, scan, momentRate)
-  }
+    val group: Long => Long = if (pooled) _ => 0L else identity
+    val groupCol = if (pooled) lit(0L) else block
 
-  /** Pre-estimation after pass 1: the block sizes, and each group's size
-    * and pilot. Pass 2 is replayed from `scan` if it can be, else run:
-    * [[sketch0]] alone, and [[withMoments]] with the moment pass at
-    * `momentRate`. Every sample is checked for NaN and ±Inf values once it
-    * is on the driver.
-    */
-  private[repro] final class SigmaPilot(df: DataFrame, block: Column, valueCol: String, pooled: Boolean,
-                                       p: IslaParams, seed: Long, label: String, val sizes: Map[Long, Long],
-                                       val groups: Map[Long, Long], pilot: Map[Long, BlockSample],
-                                       scan: SampleAgg.Speculation, momentRate: MomentRate) {
-    private val value = col(valueCol)
-    finite(pilot)
-
-    private def pl(g: Long) = pilot.getOrElse(g, new BlockSample(1))
-    /** A block's group: 0 when pooled, else the block. */
-    def group(b: Long): Long = if (pooled) 0L else b
-    def sigma(g: Long): Double = pl(g).sd
-
-    /** Footnote 1's shift: when a pilot saw a value ≤ 0, −(lowest pilot
-      * minimum) + max(largest σ, 1), which keeps every value positive.
-      */
-    def shift: Double = {
-      val lowest = groups.keys.map(pl(_).min).min
-      if (lowest <= 0) -lowest + math.max(groups.keys.map(sigma).max, 1.0) else 0.0
-    }
-
-    private val sketchRates = groups.map { case (g, n) => g -> sketchRate(p)(sigma(g), n) }
-
-    private def finite(samples: Map[Long, BlockSample]): Map[Long, BlockSample] = {
+    // A stream replayed at its resolved rates, or else run as its own pass (seed + offset).
+    def resolve(drawn: Seq[SampleAgg.Drawn], phase: String, offset: Int, by: Column, rate: Long => Double,
+                bounds: Long => Option[Boundaries] = _ => None, shift: Double = 0.0): Map[Long, BlockSample] = {
+      val samples = SampleAgg.replay(drawn, rate, bounds, shift)
+        .getOrElse(SampleAgg.run(df, by, value, s"$label $phase", seed + offset, rate, bounds, shift))
       require(samples.values.forall(_.finite), s"column $valueCol has NaN or infinite values")
       samples
     }
+    def at(rates: Map[Long, Double]): Long => Double = rates.getOrElse(_, 0.0)
 
-    /** Pass 2 (seed+1): the groups' pre-estimates, sorted by group. */
-    def sketch0(): Seq[BlockPre] = {
-      val rates = sketchRates // a local, so the task closure does not capture this pilot
-      val rate: Long => Double = rates.getOrElse(_, 0.0)
-      val sketch = SampleAgg.replay(scan.sketch, rate).getOrElse(
-        SampleAgg.run(df, if (pooled) lit(0L) else block, value, s"$label sketch₀", seed + 1, rate))
-      groups.keys.toSeq.sorted.map { g =>
-        val sk = finite(sketch).get(g).filter(_.n > 0).fold(pl(g).avg)(_.avg)
-        BlockPre(g, groups(g), sigma(g), sk, pl(g).min)
-      }
+    val pilot = resolve(scan.pilot, "σ pilot", 0, groupCol,
+      at(groups.map { case (g, n) => g -> SampleAgg.pilotRate(p.sigmaPilot, n) }))
+    def pl(g: Long) = pilot.getOrElse(g, new BlockSample(1))
+    val sigma = groups.map { case (g, _) => g -> pl(g).sd }
+    val lowest = groups.keys.map(pl(_).min).min
+    val shift = if (shifted && lowest <= 0) -lowest + math.max(sigma.values.max, 1.0) else 0.0
+    val sketch = resolve(scan.sketch, "sketch₀", 1, groupCol,
+      at(groups.map { case (g, n) => g -> sketchRate(p)(sigma(g), n) }))
+    val pres = groups.keys.toSeq.sorted.map { g =>
+      BlockPre(g, groups(g), sigma(g), sketch.get(g).filter(_.n > 0).fold(pl(g).avg)(_.avg), pl(g).min)
     }
-
-    /** Pass 2 and the moment pass (seed+2, each block at its rate, plus
-      * `shift`, split by the boundaries `bounds` makes of its group's
-      * pre-estimate).
-      *
-      * @return the groups' pre-estimates, sorted by group, and the moment
-      *         pass's samples per block
-      */
-    def withMoments(shift: Double)(bounds: BlockPre => Boundaries): (Seq[BlockPre], Map[Long, BlockSample]) = {
-      val pres = sketch0()
-      val r = momentRate.fold(identity, _(pres))
-      val byGroup = pres.map(pr => pr.block -> bounds(pr)).toMap
-      val bs: Long => Option[Boundaries] = if (pooled) { val all = byGroup.get(0L); _ => all } else byGroup.get
-      (pres, finite(SampleAgg.replay(scan.moments, r, bs, shift)
-        .getOrElse(SampleAgg.run(df, block, value, s"$label moments", seed + 2, r, bs, shift))))
-    }
+    val boundaries = pres.map(pr => pr.block -> Boundaries(pr.sketch0 + shift, pr.sigma, p.p1, p.p2)).toMap
+    val moments = resolve(scan.moments, "moments", 2, block, momentRate.fold(identity, _(pres)),
+      b => boundaries.get(group(b)), shift)
+    Scan(blockSizes, pres, shift, moments, pres.map(pr => pr.block -> pr).toMap.compose(group))
   }
 }

@@ -35,7 +35,11 @@ class IslaNonIidPinSpec extends SparkSpec {
   private def pins(pr: BlockPre): String =
     s"pre ${pr.block} ${pr.size} sigma ${hex(pr.sigma)} sketch0 ${hex(pr.sketch0)} min ${hex(pr.pilotMin)}"
 
-  /** Recorded from the three-pass implementation that the one scan replaced. */
+  /** Recorded from the three-pass implementation that the one scan
+    * replaced, except the pooled `sigma` of "seed 92", "contiguous" and
+    * "override": taken around the blocks' weighted mean, it moved by 2–5
+    * ulps from the E[sⱼ²] − s̄² form, which rates and answers do not see.
+    */
   private val expected: Map[String, String] = Map(
     "seed 91" -> """
         |answer 40592081069ecda2 rate 3fdf089a02752546 shift 40582141aafa35bc sigma 40491f51b44237ea m 20000
@@ -45,21 +49,21 @@ class IslaNonIidPinSpec extends SparkSpec {
         |block 3 4000 partial 406ef1b5afa1c7d2
         |block 4 4000 partial 406b20a792e9603d""",
     "seed 92" -> """
-        |answer 4059355418023958 rate 3fdf141205bc01a3 shift 4060570f5190a002 sigma 404923ce7203f105 m 20000
+        |answer 4059355418023958 rate 3fdf141205bc01a3 shift 4060570f5190a002 sigma 404923ce7203f102 m 20000
         |block 0 4000 partial 406d1211e3ea9a15
         |block 1 4000 partial 4066afb3c62fb492
         |block 2 4000 partial 406a2748d3df7bac
         |block 3 4000 partial 40719fdd67929f1c
         |block 4 4000 partial 406f8fd586b9a6dc""",
     "contiguous" -> """
-        |answer 4058efa7d2648e8a rate 3fdded288ce703b0 shift 405f98c67aa06c98 sigma 4048ab96a19ed571 m 20000
+        |answer 4058efa7d2648e8a rate 3fdded288ce703b0 shift 405f98c67aa06c98 sigma 4048ab96a19ed56c m 20000
         |block 0 4000 partial 406c1ebe2d0a8540
         |block 1 4000 partial 4065e0e576acb830
         |block 2 4000 partial 4069a553c9d7eae1
         |block 3 4000 partial 40714949653102d4
         |block 4 4000 partial 406f1d89889b45d9""",
     "override" -> """
-        |answer 4058dcccd76fdda6 rate 3fc999999999999a shift 406065f7f882e42a sigma 4048e3659abbfb8b m 20000
+        |answer 4058dcccd76fdda6 rate 3fc999999999999a shift 406065f7f882e42a sigma 4048e3659abbfb89 m 20000
         |block 0 4000 partial 406ce3d9062da861
         |block 1 4000 partial 40669304994024d2
         |block 2 4000 partial 406a2c0896b21d5a

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.functions.col
+
 import repro.SparkSpec
 import repro.data.Distributions
 
@@ -55,6 +57,20 @@ class IslaNonIidSpec extends SparkSpec {
       val a = IslaNonIid.run(df, "value", IslaParams(e = 1.0), seed = 66)
       val b = IslaNonIid.run(df, "value", IslaParams(e = 1.0), seed = 66)
       assert(a.answer == b.answer)
+    } finally { df.unpersist(); () }
+  }
+
+  test("the pooled σ and the rate do not move when a large constant is added") {
+    // Σnⱼ(σⱼ²+sⱼ²)/M − (Σnⱼsⱼ/M)² cancels catastrophically at a mean of
+    // 10¹⁰ against σ ≈ 50; the spread around the weighted mean does not.
+    val df = Distributions.nonIidBlocks(spark, 20000L, Distributions.nonIidSpecs, seed = 5).cache()
+    try {
+      val sizes = Moments.blockSizes(df)
+      val p = IslaParams(e = 0.5)
+      val base = IslaNonIid.run(df, "value", p, Some(sizes), seed = 5)
+      val far = IslaNonIid.run(df.withColumn("value", col("value") + 1e10), "value", p, Some(sizes), seed = 5)
+      assert(far.rate == base.rate, s"rate ${far.rate} vs ${base.rate}")
+      assert(math.abs(far.sigma - base.sigma) <= 1e-6 * base.sigma, s"sigma ${far.sigma} vs ${base.sigma}")
     } finally { df.unpersist(); () }
   }
 

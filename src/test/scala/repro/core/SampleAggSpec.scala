@@ -276,19 +276,26 @@ class SampleAggSpec extends SparkSpec {
     val sc = spark.sparkContext
     try {
       df.count()
+      val sizes = Moments.blockSizes(df)
       sc.setJobDescription("caller")
       val p = IslaParams(e = 1.0)
-      val calls = Seq[(() => Any, Seq[String])](
-        (() => Isla.run(df, "value", p), Seq("ISLA σ pilot + sketch₀ + moments")),
-        (() => MeasureBiased.runMVB(df, "value", 0.1, p), Seq("MVB σ pilot + sketch₀ + moments")),
-        (() => IslaNonIid.run(df, "value", p), Seq("ISLA non-i.i.d. σ pilot + sketch₀ + moments")),
+      // Each call's label, and the passes it runs on its own at fusedCap 0.
+      // The sketch-only calls never run a moment pass, and a non-i.i.d.
+      // pilot at known sizes is folded in the scan.
+      val calls = Seq[(() => Any, String, Seq[String])](
+        (() => Isla.run(df, "value", p), "ISLA", Seq("σ pilot", "sketch₀", "moments")),
+        (() => MeasureBiased.runMVB(df, "value", 0.1, p), "MVB", Seq("σ pilot", "sketch₀", "moments")),
+        (() => IslaNonIid.run(df, "value", p), "ISLA non-i.i.d.", Seq("σ pilot", "sketch₀", "moments")),
+        (() => PreEstimation.run(df, "value", sizes.values.sum, p), "ISLA", Seq("σ pilot", "sketch₀")),
+        (() => IslaNonIid.preEstimate(df, "value", sizes, p), "ISLA non-i.i.d.", Seq("sketch₀")),
       )
-      calls.foreach { case (call, phases) =>
+      for ((call, label, separate) <- calls; cap <- Seq(PreEstimation.fusedCap.value, 0.0)) {
         val (descriptions, _) = logJobs {
-          call()
+          PreEstimation.fusedCap.withValue(cap)(call())
           sc.parallelize(Seq(1)).count()
         }
-        assert(descriptions == phases :+ "caller")
+        val rerun = if (cap == 0.0) separate.map(s"$label " + _) else Nil
+        assert(descriptions == (s"$label σ pilot + sketch₀ + moments" +: rerun) :+ "caller", s"$label at cap $cap")
       }
     } finally { sc.setJobDescription(null); df.unpersist(); () }
   }
