@@ -1,96 +1,57 @@
 package repro.jobs
 
-import repro.exp.{Tables, Timing}
+import org.apache.spark.sql.SparkSession
 
-/** spark-submit entrypoints — one object per evaluation table/experiment.
+import repro.exp.{ExpTable, Tables, Timing}
+
+/** One spark-submit entrypoint: builds the session, prints every table
+  * `tables` renders from the optional first argument, and stops the
+  * session. Each object below inherits `main`, and Scala gives it a static
+  * forwarder, so `spark-submit --class repro.jobs.TableIII` finds it.
   *
-  * Each optional first argument overrides the per-dataset row count
-  * (default 1 000 000), e.g.
+  * The first argument overrides the per-dataset row count (default
+  * 1 000 000) unless an object says otherwise, e.g.
   * `spark-submit --class repro.jobs.TableIII repro.jar 2000000`.
   */
-object TableIII {
+sealed abstract class TableJob(app: String)(tables: (SparkSession, Option[String]) => Seq[ExpTable]) {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-table-iii")
-    val rows = args.headOption.map(_.toLong).getOrElse(1000000L)
-    println(Tables.tableIII(spark, rows).render)
-    spark.stop()
+    val spark = JobSession.build(app)
+    try tables(spark, args.headOption).foreach(t => println(t.render))
+    finally spark.stop()
   }
 }
+
+object TableJob {
+  /** The first argument as a count, else `default`. */
+  private[jobs] def rows(arg: Option[String], default: Long = 1000000L): Long = arg.fold(default)(_.toLong)
+}
+
+import TableJob.rows
+
+/** Table III — accuracy of ISLA, MV and MVB. */
+object TableIII extends TableJob("isla-table-iii")((spark, n) => Seq(Tables.tableIII(spark, rows(n))))
 
 /** Table IV — per-block partial answers (modulation abilities). */
-object TableIV {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-table-iv")
-    val rows = args.headOption.map(_.toLong).getOrElse(1000000L)
-    println(Tables.tableIV(spark, rows).render)
-    spark.stop()
-  }
-}
+object TableIV extends TableJob("isla-table-iv")((spark, n) => Seq(Tables.tableIV(spark, rows(n))))
 
 /** Table V — ISLA at one third of the uniform/stratified sample size. */
-object TableV {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-table-v")
-    val rows = args.headOption.map(_.toLong).getOrElse(1000000L)
-    println(Tables.tableV(spark, rows).render)
-    spark.stop()
-  }
-}
+object TableV extends TableJob("isla-table-v")((spark, n) => Seq(Tables.tableV(spark, rows(n))))
 
 /** Table VI — exponential distributions. */
-object TableVI {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-table-vi")
-    val rows = args.headOption.map(_.toLong).getOrElse(1000000L)
-    println(Tables.tableVI(spark, rows).render)
-    spark.stop()
-  }
-}
+object TableVI extends TableJob("isla-table-vi")((spark, n) => Seq(Tables.tableVI(spark, rows(n))))
 
 /** Table VII — uniform distribution on [1, 199]. */
-object TableVII {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-table-vii")
-    val rows = args.headOption.map(_.toLong).getOrElse(1000000L)
-    println(Tables.tableVII(spark, rows).render)
-    spark.stop()
-  }
-}
+object TableVII extends TableJob("isla-table-vii")((spark, n) => Seq(Tables.tableVII(spark, rows(n))))
 
-/** §VIII-A — varying data size sweep. */
-object DataSize {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-datasize")
-    println(Tables.dataSizeSweep(spark).render)
-    spark.stop()
-  }
-}
+/** §VIII-A — varying data size sweep; takes no argument. */
+object DataSize extends TableJob("isla-datasize")((spark, _) => Seq(Tables.dataSizeSweep(spark)))
 
-/** §VIII-D — non-i.i.d. blocks. */
-object NonIid {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-noniid")
-    val perBlock = args.headOption.map(_.toLong).getOrElse(200000L)
-    println(Tables.nonIid(spark, perBlock).render)
-    spark.stop()
-  }
-}
+/** §VIII-D — non-i.i.d. blocks; the argument is rows per block (default 200 000). */
+object NonIid extends TableJob("isla-noniid")((spark, n) => Seq(Tables.nonIid(spark, rows(n, 200000L))))
 
-/** §VIII-F — efficiency comparison on TPC-H-lite lineitem. */
-object Efficiency {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-efficiency")
-    val sf = args.headOption.map(_.toDouble).getOrElse(0.1)
-    println(Timing.efficiency(spark, sf).render)
-    spark.stop()
-  }
-}
+/** §VIII-F — efficiency on TPC-H-lite lineitem; the argument is the scale factor (default 0.1). */
+object Efficiency extends TableJob("isla-efficiency")((spark, sf) =>
+  Seq(Timing.efficiency(spark, sf.fold(0.1)(_.toDouble))))
 
-/** §VIII-G — real-data stand-ins (salary-like, TLC-trip-like). */
-object RealData {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("isla-realdata")
-    Tables.realData(spark).foreach(t => println(t.render))
-    spark.stop()
-  }
-}
+/** §VIII-G — real-data stand-ins (salary-like, TLC-trip-like); takes no argument. */
+object RealData extends TableJob("isla-realdata")((spark, _) => Tables.realData(spark))

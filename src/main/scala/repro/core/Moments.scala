@@ -54,6 +54,10 @@ object Moments {
 
   /** Run the sampling phase over every block in one Spark job.
     *
+    * No query calls this: every query draws its moment sample in its one
+    * scan ([[SampleAgg.oneScan]]). This is the separate-pass form, which
+    * perfbench's traced chain and the tests use.
+    *
     * @param df       input data with a value column and a block-id column
     * @param valueCol name of the (numeric) aggregation column
     * @param rate     per-block Bernoulli sampling rate r

@@ -35,19 +35,30 @@ final case class ExpTable(
   */
 object Tables {
 
+  /** Runs `body` on `df` cached, and unpersists `df` afterwards. */
+  private[exp] def cached[A](df: DataFrame)(body: DataFrame => A): A =
+    try body(df.cache()) finally { df.unpersist(); () }
+
+  /** The rate Eq. 1 requires, which every compared method shares: ISLA's rate before `rateFraction`. */
+  private[exp] def requiredRate(isla: IslaResult, p: IslaParams): Double =
+    math.min(1.0, isla.rate / p.rateFraction)
+
   /** Shared per-dataset comparison: ISLA vs MV vs MVB at a common rate. */
   private def compareIslaMvMvb(df: DataFrame, p: IslaParams,
-                               seed: Long): (IslaResult, BaselineResult, BaselineResult) = {
-    val cached = df.cache()
-    try {
-      val sizes = Moments.blockSizes(cached)
-      val isla = Isla.run(cached, "value", p, Some(sizes), seed = seed)
-      val rFull = math.min(1.0, isla.rate / p.rateFraction)
-      val mv = MeasureBiased.runMV(cached, "value", rFull, seed = seed + 31)
-      val mvb = MeasureBiased.runMVB(cached, "value", rFull, p, Some(sizes), seed = seed + 61)
+                               seed: Long): (IslaResult, BaselineResult, BaselineResult) =
+    cached(df) { df =>
+      val sizes = Moments.blockSizes(df)
+      val isla = Isla.run(df, "value", p, Some(sizes), seed = seed)
+      val rFull = requiredRate(isla, p)
+      val mv = MeasureBiased.runMV(df, "value", rFull, seed = seed + 31)
+      val mvb = MeasureBiased.runMVB(df, "value", rFull, p, Some(sizes), seed = seed + 61)
       (isla, mv, mvb)
-    } finally { cached.unpersist(); () }
-  }
+    }
+
+  /** The ISLA, MV and MVB answer rows of a list of comparisons. */
+  private def methodRows(results: Seq[(IslaResult, BaselineResult, BaselineResult)]): Seq[(String, Seq[Double])] =
+    Seq("ISLA", "MV", "MVB")
+      .zip(results.map { case (isla, mv, mvb) => Seq(isla.answer, mv.answer, mvb.answer) }.transpose)
 
   /** Table III: accuracy of ISLA/MV/MVB over 10 N(100,20²) datasets, e=0.1. */
   def tableIII(spark: SparkSession, rowsPerDataset: Long = 1000000L, nDatasets: Int = 10,
@@ -56,15 +67,10 @@ object Tables {
       val df = Distributions.normal(spark, rowsPerDataset, 100.0, 20.0, 10, baseSeed + i)
       compareIslaMvMvb(df, p, baseSeed * 10 + i)
     }
-    def withAvg(vs: Seq[Double]) = vs :+ vs.sum / vs.size
     ExpTable(
       "Table III — accuracy, N(100,20^2), desired precision 0.1",
       (1 to nDatasets).map("ds" + _) :+ "Average",
-      Seq(
-        "ISLA" -> withAvg(results.map(_._1.answer)),
-        "MV"   -> withAvg(results.map(_._2.answer)),
-        "MVB"  -> withAvg(results.map(_._3.answer)),
-      ),
+      methodRows(results).map { case (name, vs) => name -> (vs :+ vs.sum / vs.size) },
       Seq(s"M=$rowsPerDataset per dataset, b=10, accurate answer = 100"),
     )
   }
@@ -91,24 +97,19 @@ object Tables {
              e: Double = 0.5, baseSeed: Long = 200L): ExpTable = {
     val p = IslaParams(e = e, rateFraction = 1.0 / 3.0)
     val results = (1 to nDatasets).map { i =>
-      val df = Distributions.normal(spark, rowsPerDataset, 100.0, 20.0, 10, baseSeed + i).cache()
-      try {
+      cached(Distributions.normal(spark, rowsPerDataset, 100.0, 20.0, 10, baseSeed + i)) { df =>
         val sizes = Moments.blockSizes(df)
         val isla = Isla.run(df, "value", p, Some(sizes), seed = baseSeed * 10 + i)
-        val rFull = math.min(1.0, isla.rate * 3.0) // the "required" rate r of Eq. 1
+        val rFull = requiredRate(isla, p)
         val us = UniformSampling.run(df, "value", rFull, seed = baseSeed * 10 + i + 31)
         val sts = StratifiedSampling.run(df, "value", rFull, Some(sizes), seed = baseSeed * 10 + i + 61)
-        (isla.answer, us.answer, sts.answer)
-      } finally { df.unpersist(); () }
+        Seq(isla.answer, us.answer, sts.answer)
+      }
     }
     ExpTable(
       "Table V — ISLA (r/3) vs US and STS (r), N(100,20^2), desired precision 0.5",
       (1 to nDatasets).map("ds" + _),
-      Seq(
-        "ISLA" -> results.map(_._1),
-        "US"   -> results.map(_._2),
-        "STS"  -> results.map(_._3),
-      ),
+      Seq("ISLA", "US", "STS").zip(results.transpose),
       Seq("ISLA samples at one third of the Eq.-1 rate; accurate answer = 100"),
     )
   }
@@ -124,12 +125,7 @@ object Tables {
     ExpTable(
       "Table VI — exponential distributions",
       gammas.map(g => s"gamma=$g"),
-      Seq(
-        "Accurate" -> gammas.map(1.0 / _),
-        "ISLA" -> results.map(_._1.answer),
-        "MV"   -> results.map(_._2.answer),
-        "MVB"  -> results.map(_._3.answer),
-      ),
+      ("Accurate" -> gammas.map(1.0 / _)) +: methodRows(results),
     )
   }
 
@@ -144,11 +140,7 @@ object Tables {
     ExpTable(
       "Table VII — uniform distribution on [1,199]",
       (1 to nDatasets).map("ds" + _),
-      Seq(
-        "ISLA" -> results.map(_._1.answer),
-        "MV"   -> results.map(_._2.answer),
-        "MVB"  -> results.map(_._3.answer),
-      ),
+      methodRows(results),
       Seq("accurate answer = 100; e=0.5 here (paper default e=0.1 needs m>M at container scale, see EXPERIMENTS.md)"),
     )
   }
@@ -158,9 +150,9 @@ object Tables {
                     sizes: Seq[Long] = Seq(100000L, 300000L, 1000000L, 3000000L, 10000000L),
                     p: IslaParams = IslaParams(), baseSeed: Long = 500L): ExpTable = {
     val answers = sizes.zipWithIndex.map { case (n, i) =>
-      val df = Distributions.normal(spark, n, 100.0, 20.0, 10, baseSeed + i).cache()
-      try Isla.run(df, "value", p, seed = baseSeed * 10 + i).answer
-      finally { df.unpersist(); () }
+      cached(Distributions.normal(spark, n, 100.0, 20.0, 10, baseSeed + i)) { df =>
+        Isla.run(df, "value", p, seed = baseSeed * 10 + i).answer
+      }
     }
     ExpTable(
       "§VIII-A — varying data size (ISLA answers; accurate = 100)",
@@ -175,9 +167,9 @@ object Tables {
              e: Double = 0.5, baseSeed: Long = 600L): ExpTable = {
     val p = IslaParams(e = e)
     val answers = (1 to runs).map { i =>
-      val df = Distributions.nonIidBlocks(spark, perBlock, Distributions.nonIidSpecs, baseSeed + i).cache()
-      try IslaNonIid.run(df, "value", p, seed = baseSeed * 10 + i).answer
-      finally { df.unpersist(); () }
+      cached(Distributions.nonIidBlocks(spark, perBlock, Distributions.nonIidSpecs, baseSeed + i)) { df =>
+        IslaNonIid.run(df, "value", p, seed = baseSeed * 10 + i).answer
+      }
     }
     ExpTable(
       "§VIII-D — non-i.i.d. blocks, 5 runs (accurate = 100)",
@@ -193,21 +185,20 @@ object Tables {
     * 10 000 for ISLA (half), via `rateOverride`.
     */
   def realData(spark: SparkSession, baseSeed: Long = 700L): Seq[ExpTable] = {
-    def one(name: String, df: DataFrame, seed: Long): ExpTable = {
-      val cached = df.cache()
-      try {
-        val sizes = Moments.blockSizes(cached)
+    def one(name: String, df: DataFrame, seed: Long): ExpTable =
+      cached(df) { df =>
+        val sizes = Moments.blockSizes(df)
         val m = sizes.values.sum
-        val exact = Distributions.exactAvg(cached)
+        val exact = Distributions.exactAvg(df)
         val rOthers = math.min(1.0, 20000.0 / m)
         val rIsla = math.min(1.0, 10000.0 / m)
         val p = IslaParams(e = 0.05 * exact, rateOverride = Some(rIsla))
-        val isla = Isla.run(cached, "value", p, Some(sizes), seed = seed)
-        val mv = MeasureBiased.runMV(cached, "value", rOthers, seed = seed + 31)
-        val mvb = MeasureBiased.runMVB(cached, "value", rOthers, p.copy(rateOverride = None),
+        val isla = Isla.run(df, "value", p, Some(sizes), seed = seed)
+        val mv = MeasureBiased.runMV(df, "value", rOthers, seed = seed + 31)
+        val mvb = MeasureBiased.runMVB(df, "value", rOthers, p.copy(rateOverride = None),
           Some(sizes), seed = seed + 61)
-        val us = UniformSampling.run(cached, "value", rOthers, seed = seed + 91)
-        val sts = StratifiedSampling.run(cached, "value", rOthers, Some(sizes), seed = seed + 121)
+        val us = UniformSampling.run(df, "value", rOthers, seed = seed + 91)
+        val sts = StratifiedSampling.run(df, "value", rOthers, Some(sizes), seed = seed + 121)
         ExpTable(
           s"§VIII-G — $name (synthetic stand-in, see DESIGN.md §3)",
           Seq("Answer"),
@@ -221,8 +212,7 @@ object Tables {
           ),
           Seq(s"rows=$m; ISLA samples 10000, others 20000 (paper's §VIII-G protocol)"),
         )
-      } finally { cached.unpersist(); () }
-    }
+      }
     Seq(
       one("salary data", Distributions.salaryLike(spark, seed = baseSeed), baseSeed * 10),
       one("TLC trip data", Distributions.tlcLike(spark, seed = baseSeed + 1), baseSeed * 10 + 1),

@@ -23,14 +23,13 @@ object Timing {
     val df = SynthData.lineitem(spark, sf, seed)
       .select(col("l_extendedprice").cast("double").as("value"),
               (col("l_orderkey") % 10).cast("long").as("block"))
-      .cache()
-    df.count() // materialize outside the timed region
-    try {
+    Tables.cached(df) { df =>
+      df.count() // materialize outside the timed region
       val sizes = Moments.blockSizes(df)
       val p = IslaParams(e = e)
       // Warm-up run fixes the shared rate and JITs the code paths.
       val warm = Isla.run(df, "value", p, Some(sizes), seed = seed)
-      val r = math.min(1.0, warm.rate)
+      val r = Tables.requiredRate(warm, p)
 
       def time(body: => Unit): Double = {
         val t0 = System.nanoTime()
@@ -57,6 +56,6 @@ object Timing {
         ),
         Seq(f"shared sampling rate r=$r%.4f; paper (100GB, 20 runs): ISLA 31979ms, MV 61718ms, MVB 70584ms, US 25989ms, STS 84294ms"),
       )
-    } finally { df.unpersist(); () }
+    }
   }
 }

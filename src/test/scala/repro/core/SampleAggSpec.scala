@@ -218,20 +218,26 @@ class SampleAggSpec extends SparkSpec {
     }
   }
 
-  /** Records the jobs submitted and the shuffle bytes written. */
+  /** Records the jobs submitted, the shuffle bytes written and the task
+    * result bytes sent to the driver.
+    */
   private final class JobLog extends SparkListener {
     val descriptions = mutable.ArrayBuffer.empty[String]
     var shuffleBytes = 0L
+    var resultBytes = 0L
     override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
       descriptions += Option(e.properties).map(_.getProperty("spark.job.description")).orNull
     }
     override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-      if (e.taskMetrics != null) shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+      if (e.taskMetrics != null) {
+        shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+        resultBytes += e.taskMetrics.resultSize
+      }
     }
   }
 
-  /** The jobs `body` runs, with their descriptions, and the shuffle bytes it writes. */
-  private def logJobs(body: => Any): (Seq[String], Long) = {
+  /** The log of the jobs `body` runs. */
+  private def jobLog(body: => Any): JobLog = {
     val sc = spark.sparkContext
     ListenerBusDrain(sc)
     val log = new JobLog
@@ -239,8 +245,20 @@ class SampleAggSpec extends SparkSpec {
     try {
       body
       ListenerBusDrain(sc)
-      log.synchronized((log.descriptions.toList, log.shuffleBytes))
+      log
     } finally sc.removeSparkListener(log)
+  }
+
+  /** The jobs `body` runs, with their descriptions, and the shuffle bytes it writes. */
+  private def logJobs(body: => Any): (Seq[String], Long) = {
+    val log = jobLog(body)
+    log.synchronized((log.descriptions.toList, log.shuffleBytes))
+  }
+
+  /** The jobs `body` runs, with their descriptions, and the task result bytes they send. */
+  private def logResults(body: => Any): (Seq[String], Long) = {
+    val log = jobLog(body)
+    log.synchronized((log.descriptions.toList, log.resultBytes))
   }
 
   test("every call runs one shuffle-free job per pass") {
@@ -400,30 +418,22 @@ class SampleAggSpec extends SparkSpec {
     // so c·(m + m₀) ≈ 41 000 in all, plus at most 2k = 4 000 σ-pilot
     // candidates per partition, 16 B each: 0.91 MB, and 25% more for
     // framing. Bounding M by the rows a partition has seen would keep
-    // P·c·m ≈ 147 000 moment candidates, 2.4 MB.
+    // P·c·m ≈ 147 000 moment candidates, 2.4 MB. Given `sizes`, the scan
+    // still sends the pooled pilot's candidates and knows M, so the same
+    // bound holds.
     val bound = 16 * (1.5 * (24586 + 2732) + 4 * 2 * 2000) * 1.25
     val df = spark.range(0, 400000, 1, 4)
       .select((col("id") % 10).as("block"), (lit(100.0) + randn(71) * 20).as("value")).cache()
-    val sc = spark.sparkContext
     try {
       df.count()
       val p = IslaParams(e = 0.25)
       Isla.run(df, "value", p, seed = 72) // warm up
-      ListenerBusDrain(sc)
-      var bytes = 0L
-      val listener = new SparkListener {
-        override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-          if (e.taskMetrics != null) bytes += e.taskMetrics.resultSize
-        }
+      for (sizes <- Seq(None, Some(Moments.blockSizes(df)))) {
+        val (jobs, sent) = logResults(Isla.run(df, "value", p, sizes, seed = 73))
+        assert(jobs == Seq("ISLA σ pilot + sketch₀ + moments"))
+        assert(sent > 16 * 24586 && sent < bound,
+          s"sizes given: ${sizes.isDefined}; task results: $sent bytes, bound ${bound.toLong}")
       }
-      sc.addSparkListener(listener)
-      val (jobs, _) = try logJobs(Isla.run(df, "value", p, seed = 73)) finally {
-        ListenerBusDrain(sc)
-        sc.removeSparkListener(listener)
-      }
-      assert(jobs == Seq("ISLA σ pilot + sketch₀ + moments"))
-      val sent = listener.synchronized(bytes)
-      assert(sent > 16 * 24586 && sent < bound, s"task results: $sent bytes, bound ${bound.toLong}")
     } finally { df.unpersist(); () }
   }
 
@@ -439,8 +449,9 @@ class SampleAggSpec extends SparkSpec {
     // c = 1.5. In all 1.5·(9 527 + 5 638) ≈ 22 700 candidates, 16 B each:
     // 0.36 MB, and 25% more for framing. Pilot candidates below k/nⱼ
     // would add b·k = 20 000 (0.32 MB), a falling per-block pilot bound
-    // P·b·k = 80 000 (1.28 MB).
-    val bound = 16 * 1.5 * (9527 + 5638) * 1.25
+    // P·b·k = 80 000 (1.28 MB). Without `sizes` the scan sends exactly
+    // those: each partition keeps about k candidates per block.
+    def bound(sizesGiven: Boolean) = 16 * (1.5 * (9527 + 5638) + (if (sizesGiven) 0 else 4 * 10 * 2000)) * 1.25
     val specs = Distributions.nonIidSpecs
     val blockId = col("id") % 10
     val spec = (blockId % specs.size + 1).cast("int")
@@ -448,27 +459,18 @@ class SampleAggSpec extends SparkSpec {
       (element_at(typedLit(specs.map(_._1)), spec) + element_at(typedLit(specs.map(_._2)), spec) * randn(81))
         .as("value"),
       blockId.as("block")).cache()
-    val sc = spark.sparkContext
     try {
       df.count()
       val sizes = Moments.blockSizes(df)
       val p = IslaParams(e = 1.0)
       IslaNonIid.run(df, "value", p, Some(sizes), seed = 82) // warm up
-      ListenerBusDrain(sc)
-      var bytes = 0L
-      val listener = new SparkListener {
-        override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-          if (e.taskMetrics != null) bytes += e.taskMetrics.resultSize
-        }
+      for (given <- Seq(Some(sizes), None)) {
+        val (jobs, sent) = logResults(IslaNonIid.run(df, "value", p, given, seed = 83))
+        assert(jobs == Seq("ISLA non-i.i.d. σ pilot + sketch₀ + moments"))
+        val b = bound(given.isDefined)
+        assert(sent > 16 * (9527 + 5638) && sent < b,
+          s"sizes given: ${given.isDefined}; task results: $sent bytes, bound ${b.toLong}")
       }
-      sc.addSparkListener(listener)
-      val (jobs, _) = try logJobs(IslaNonIid.run(df, "value", p, Some(sizes), seed = 83)) finally {
-        ListenerBusDrain(sc)
-        sc.removeSparkListener(listener)
-      }
-      assert(jobs == Seq("ISLA non-i.i.d. σ pilot + sketch₀ + moments"))
-      val sent = listener.synchronized(bytes)
-      assert(sent > 16 * (9527 + 5638) && sent < bound, s"task results: $sent bytes, bound ${bound.toLong}")
     } finally { df.unpersist(); () }
   }
 }
