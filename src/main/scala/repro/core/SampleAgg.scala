@@ -7,8 +7,14 @@ import scala.collection.mutable
 import scala.reflect.ClassTag
 import scala.util.control.NonFatal
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.{Alias, Attribute, Cast, Expression, Literal}
+import org.apache.spark.sql.execution.{ColumnarToRowExec, InputAdapter, LeafExecNode, ProjectExec, QueryExecution,
+  SQLExecution, SparkPlan, WholeStageCodegenExec}
+import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType}
+import org.apache.spark.sql.vectorized.{ColumnVector, ColumnarBatch}
 import org.apache.spark.util.random.RandGenerator
 
 /** What one sampled pass learns about one block: rows seen, and the
@@ -69,10 +75,14 @@ final class BlockSample(regionCount: Int) extends Serializable {
 /** The one kernel behind every sampled pass: block sizes, both pilots,
   * Algorithm 1's moment pass and the baselines.
   *
-  * A pass is one `mapPartitionsWithIndex` job over the input's
-  * `InternalRow`s, with no shuffle ([[oneScan]] runs three passes in one);
-  * partitions are merged on the driver in
-  * partition order, as Spark's final aggregate merges them. Rates,
+  * A pass is one `mapPartitionsWithIndex` job over the input's rows, with
+  * no shuffle ([[oneScan]] runs three passes in one); partitions are
+  * merged on the driver in partition order, as Spark's final aggregate
+  * merges them. A pass reads a columnar scan's column batches where its
+  * plan is one ([[columns]]: a cached relation or a vectorized file
+  * scan, with the block id and value as plain columns or constants), and
+  * the plan's `InternalRow`s otherwise; both come in the same partitions
+  * and order, so every draw lands on the same row either way. Rates,
   * boundaries and the shift are driver-side values, so the generated code
   * (one projection) is the same for every query and compiled once.
   *
@@ -128,27 +138,10 @@ object SampleAgg {
       bounds: Long => Option[Boundaries] = _ => None,
       shift: Double = 0.0,
   ): Map[Long, BlockSample] = {
-    val parts = job(df, block, value, label) { (part, _, rows) =>
-      val rng = generator(seed, part)
-      val blocks = mutable.LongMap.empty[Fixed]
-      val unkeyed = new Fixed(0.0, None)
-      var cur: Fixed = null
-      var curBlock = 0L
-      while (rows.hasNext) {
-        val row = rows.next()
-        val u = draw(rng) // every row draws, as `rand(seed)` does
-        val slot = if (row.isNullAt(0)) unkeyed else {
-          val b = row.getLong(0)
-          if (cur == null || b != curBlock) {
-            curBlock = b
-            cur = blocks.getOrElseUpdate(b, new Fixed(rate(b), bounds(b)))
-          }
-          cur
-        }
-        slot.rows += 1
-        if (u < slot.rate && !row.isNullAt(1)) slot.take(u, row.getDouble(1) + shift)
-      }
-      blocks.iterator.map { case (b, s) => s.sample.rows = s.rows; b -> s.sample }.toArray
+    val parts = job(df, block, value, label) { (part, _, batches) =>
+      val acc = new RunPartition(generator(seed, part), rate, bounds, shift)
+      while (batches.hasNext) acc.add(batches.next())
+      acc.result()
     }
     merge(parts.iterator.flatten)
   }
@@ -198,7 +191,7 @@ object SampleAgg {
         else {
           val slot = new Fixed(rate(d.group), bounds(d.group))
           var i = 0
-          while (i < d.us.length) { if (d.us(i) < slot.rate) slot.take(d.us(i), d.as(i) + shift); i += 1 }
+          while (i < d.us.length) { if (d.us(i) < slot.rate) slot.take(d.as(i) + shift); i += 1 }
           slot.sample.rows = d.rows
           d.group -> slot.sample
         }
@@ -261,34 +254,11 @@ object SampleAgg {
   private[core] def oneScan(df: DataFrame, block: Column, value: Column, label: String, seed: Long, k: Int,
                             pooled: Boolean, sizes: Option[Map[Long, Long]], sketchRate: (Double, Long) => Double,
                             momentRate: PreEstimation.MomentRate, cap: Double): Speculation = {
-    val parts = job(df, block, value, label) { (part, n, rows) =>
-      val rng = generator(seed, part)
-      val rng2 = generator(seed + 1, part)
-      val rng3 = generator(seed + 2, part)
-      val acc = new ScanPartition(k, n, pooled, sizes, sketchRate, momentRate, (cap / n).toLong)
-      var cur: Speculating = null
-      var curBlock = 0L
-      while (rows.hasNext) {
-        val row = rows.next()
-        val u = draw(rng) // every row draws from each generator
-        val v = draw(rng2)
-        val w = draw(rng3)
-        val slot = if (row.isNullAt(0)) acc.unkeyed else {
-          val b = row.getLong(0)
-          if (cur == null || b != curBlock) {
-            curBlock = b
-            cur = acc.blocks.getOrElseUpdate(b, acc.slot(b))
-          }
-          cur
-        }
-        slot.rows += 1
-        if (!row.isNullAt(1)) {
-          val a = row.getDouble(1)
-          if (u < slot.rate) slot.take(u, a)
-          if (v < slot.rate2) slot.take2(v, a)
-          if (w < slot.rate3) slot.take3(w, a)
-        }
-      }
+    val parts = job(df, block, value, label) { (part, n, batches) =>
+      // Every row draws from each generator.
+      val acc = new ScanPartition(generator(seed, part), generator(seed + 1, part), generator(seed + 2, part), k, n,
+        pooled, sizes, sketchRate, momentRate, (cap / n).toLong)
+      while (batches.hasNext) acc.add(batches.next())
       acc.result()
     }
     Speculation(count(parts.iterator.map(_.rows)), parts.toSeq.flatMap(_.pilot), parts.toSeq.flatMap(_.sketch),
@@ -299,24 +269,220 @@ object SampleAgg {
   private def generator(seed: Long, part: Int): java.util.Random = RandGenerator(seed, part)
   private def draw(rng: java.util.Random): Double = rng.nextDouble()
 
-  /** Runs `part` on each partition's rows (block id, value), given the
-    * partition and the number of partitions, as one job labelled `label`,
-    * and returns its results in partition order. [[run]] and [[oneScan]]
-    * each have their own row loop, so that the JIT compiles each with its
-    * own profile: with one loop shared by both, a query's first
-    * three-stream scan deoptimized the loop compiled for the one-stream
-    * passes before it, and the first timed `noniid-b100` query took up to
-    * 1.1 s instead of 0.3 s (4 cores).
+  /** Runs `part` on each partition's rows, given the partition and the
+    * number of partitions, as one job labelled `label`, and returns its
+    * results in partition order. The rows (block id, value) come in
+    * [[Batch]]es, filled from the column batches of the scan [[columns]]
+    * finds in the plan, else from the plan's `InternalRow`s; either way
+    * in the same partitions and the same order, so every draw lands on
+    * the same row.
+    *
+    * [[run]] and [[oneScan]] each have their own row loop, so that the JIT
+    * compiles each with its own profile: with one loop shared by both, a
+    * query's first three-stream scan deoptimized the loop compiled for the
+    * one-stream passes before it, and the first timed `noniid-b100` query
+    * took up to 1.1 s instead of 0.3 s (4 cores). Each loop takes one
+    * batch a call (`RunPartition.add`, `ScanPartition.add`), whichever
+    * source filled it.
     */
   private def job[R: ClassTag](df: DataFrame, block: Column, value: Column, label: String)(
-      part: (Int, Int, Iterator[InternalRow]) => R): Array[R] = {
-    val rdd = df.select(block.cast("long"), value.cast("double")).queryExecution.toRdd
-    val parts = rdd.getNumPartitions
+      part: (Int, Int, Iterator[Batch]) => R): Array[R] = {
+    val qe = planned(df, block, value)
+    def each[T](rdd: RDD[T], read: Iterator[T] => Iterator[Batch]): Array[R] = {
+      val parts = rdd.getNumPartitions
+      rdd.mapPartitionsWithIndex((i, in) => Iterator.single(part(i, parts, read(in)))).collect()
+    }
     val sc = df.sparkSession.sparkContext
     val outer = sc.getLocalProperty("spark.job.description")
     sc.setJobDescription(label)
-    try rdd.mapPartitionsWithIndex((i, rows) => Iterator.single(part(i, parts, rows))).collect()
-    finally sc.setJobDescription(outer)
+    try columns(qe.executedPlan) match {
+      // Tasks see the session's SQL conf, as `toRdd`'s do.
+      case Some(Columns(scan, b, v)) =>
+        SQLExecution.withSQLConfPropagated(qe.sparkSession)(each(scan.executeColumnar(), Batch.columns(b, v)))
+      case None => each(qe.toRdd, Batch.rows)
+    } finally sc.setJobDescription(outer)
+  }
+
+  /** A pass's input: the block id and value columns, cast to long and double. */
+  private[core] def planned(df: DataFrame, block: Column, value: Column): QueryExecution =
+    df.select(block.cast("long"), value.cast("double")).queryExecution
+
+  /** Where a column batch holds one of a pass's two columns: vector
+    * `ordinal`, of type `dataType`, or, at ordinal -1, the constant
+    * `constant` (null, or a boxed long or double).
+    */
+  private[core] final case class Input(ordinal: Int, dataType: DataType, constant: Any)
+
+  /** A scan that produces column batches, and where they hold the block id and the value. */
+  private[core] final case class Columns(scan: SparkPlan, block: Input, value: Input)
+
+  /** The column batches a [[planned]] pass reads, if its plan is a leaf
+    * scan that produces them (a cached relation, a vectorized Parquet or
+    * ORC file scan), alone or under a projection of that scan's int, long
+    * or double columns, cast to long (block) or double (value), and of
+    * constants (a pooled block, [[Moments.blockSizes]]' value). None for
+    * any other plan, which is read by rows: a decimal or computed column,
+    * a filter, a cached relation with a column the vectorized reader
+    * cannot produce, an adaptive plan (a shuffle below the cache).
+    */
+  private[core] def columns(plan: SparkPlan): Option[Columns] = {
+    // Code generation and columnar-to-row wrappers: the scan's batches are read instead.
+    def unwrapped(p: SparkPlan): SparkPlan = p match {
+      case _: WholeStageCodegenExec | _: InputAdapter | _: ColumnarToRowExec => unwrapped(p.children.head)
+      case _ => p
+    }
+    val (exprs, scan) = unwrapped(plan) match {
+      case ProjectExec(list, child) => (list, unwrapped(child))
+      case p => (p.output, p)
+    }
+    // The types whose cast to `to` a kernel read repeats exactly.
+    def widens(from: DataType, to: DataType): Boolean =
+      from == to || from == IntegerType || (from == LongType && to == DoubleType)
+    def input(e: Expression, to: DataType): Option[Input] = e match {
+      case Alias(child, _) => input(child, to)
+      case Literal(c, t) if t == to => Some(Input(-1, t, c))
+      case c: Cast if c.dataType == to => input(c.child, to)
+      case a: Attribute if widens(a.dataType, to) =>
+        Some(scan.output.indexWhere(_.exprId == a.exprId)).filter(_ >= 0).map(Input(_, a.dataType, null))
+      case _ => None
+    }
+    scan match {
+      case leaf: LeafExecNode if leaf.supportsColumnar && exprs.size == 2 =>
+        for (b <- input(exprs(0), LongType); v <- input(exprs(1), DoubleType)) yield Columns(leaf, b, v)
+      case _ => None
+    }
+  }
+
+  /** A [[Batch]] row's null flags: a null block id, a null value. */
+  private final val NullBlock = 1
+  private final val NullValue = 2
+
+  /** Rows in input order, a batch at a time: each row's block id, value and
+    * null flags ([[NullBlock]], [[NullValue]]); the slot of a null holds
+    * any value. A partition's batches reuse one [[Batch]].
+    */
+  private final class Batch {
+    var size = 0
+    var nulls = new Array[Byte](0)
+    var blocks = new Array[Long](0)
+    var values = new Array[Double](0)
+
+    def reserve(n: Int): Unit = if (blocks.length < n) {
+      nulls = new Array[Byte](n); blocks = new Array[Long](n); values = new Array[Double](n)
+    }
+  }
+
+  private object Batch {
+    /** Rows copied from a row plan per batch. */
+    private val RowBatch = 4096
+
+    /** Copies `rows` (block id, value) into batches. */
+    def rows(rows: Iterator[InternalRow]): Iterator[Batch] = new Iterator[Batch] {
+      private val batch = new Batch
+      batch.reserve(RowBatch)
+      def hasNext: Boolean = rows.hasNext
+      def next(): Batch = {
+        val (nulls, ids, values) = (batch.nulls, batch.blocks, batch.values)
+        var n = 0
+        while (n < RowBatch && rows.hasNext) {
+          val row = rows.next()
+          var flags = 0
+          if (row.isNullAt(0)) flags = NullBlock else ids(n) = row.getLong(0)
+          if (row.isNullAt(1)) flags |= NullValue else values(n) = row.getDouble(1)
+          nulls(n) = flags.toByte
+          n += 1
+        }
+        batch.size = n
+        batch
+      }
+    }
+
+    /** Fills a batch from each column batch, reading its vectors by index. */
+    def columns(block: Input, value: Input)(in: Iterator[ColumnarBatch]): Iterator[Batch] = {
+      val batch = new Batch
+      in.map { cb =>
+        val n = cb.numRows
+        batch.reserve(n)
+        batch.size = n
+        val (ids, values) = (batch.blocks, batch.values)
+        Arrays.fill(batch.nulls, 0, n, 0.toByte)
+        val bv = vector(cb, block, NullBlock, batch)
+        var i = 0
+        if (bv == null) { if (block.constant != null) Arrays.fill(ids, 0, n, block.constant.asInstanceOf[Long]) }
+        else if (block.dataType == LongType) while (i < n) { ids(i) = bv.getLong(i); i += 1 }
+        else while (i < n) { ids(i) = bv.getInt(i); i += 1 }
+        val vv = vector(cb, value, NullValue, batch)
+        i = 0
+        if (vv == null) { if (value.constant != null) Arrays.fill(values, 0, n, value.constant.asInstanceOf[Double]) }
+        else if (value.dataType == DoubleType) while (i < n) { values(i) = vv.getDouble(i); i += 1 }
+        else if (value.dataType == LongType) while (i < n) { values(i) = vv.getLong(i).toDouble; i += 1 }
+        else while (i < n) { values(i) = vv.getInt(i); i += 1 }
+        batch
+      }
+    }
+
+    /** The vector that holds `in`, null for a constant, after flagging its
+      * nulls in the batch's rows with `flag`.
+      */
+    private def vector(cb: ColumnarBatch, in: Input, flag: Int, batch: Batch): ColumnVector = {
+      val (n, nulls) = (batch.size, batch.nulls)
+      if (in.ordinal < 0) {
+        if (in.constant == null) { var i = 0; while (i < n) { nulls(i) = (nulls(i) | flag).toByte; i += 1 } }
+        null
+      } else {
+        val v = cb.column(in.ordinal)
+        if (v.hasNull) { var i = 0; while (i < n) { if (v.isNullAt(i)) nulls(i) = (nulls(i) | flag).toByte; i += 1 } }
+        v
+      }
+    }
+  }
+
+  /** A [[run]] partition: each block's sample at its known rate. */
+  private final class RunPartition(rng: java.util.Random, rate: Long => Double, bounds: Long => Option[Boundaries],
+                                   shift: Double) {
+    private val blocks = new Blocks(b => new Fixed(rate(b), bounds(b)))
+    private val unkeyed = new Fixed(0.0, None)
+
+    /** [[run]]'s row loop, a batch a call (see [[job]]). */
+    def add(batch: Batch): Unit = {
+      val (nulls, ids, values) = (batch.nulls, batch.blocks, batch.values)
+      var i = 0
+      while (i < batch.size) {
+        val u = draw(rng) // every row draws, as `rand(seed)` does
+        val slot = if ((nulls(i) & NullBlock) != 0) unkeyed else blocks(ids(i))
+        slot.rows += 1
+        if (u < slot.rate && (nulls(i) & NullValue) == 0) slot.take(values(i) + shift)
+        i += 1
+      }
+    }
+
+    def result(): Array[(Long, BlockSample)] =
+      blocks.map.iterator.map { case (b, s) => s.sample.rows = s.rows; b -> s.sample }.toArray
+  }
+
+  /** A partition's state per block, made by `make` at the block's first
+    * row. A table of the last block seen in each of 1024 slots stands in
+    * front of the map, so that rows whose block changes from row to row
+    * rarely hash: on `iid-scan`'s input, whose 10 blocks interleave, a
+    * `LongMap` lookup a row took about 40% of a profile's samples.
+    */
+  private final class Blocks[T <: AnyRef](make: Long => T) {
+    val map = mutable.LongMap.empty[T]
+    private val ids = new Array[Long](1024)
+    private val recent = new Array[AnyRef](1024)
+
+    def apply(b: Long): T = {
+      val j = b.toInt & 1023
+      val r = recent(j)
+      if (r != null && ids(j) == b) r.asInstanceOf[T]
+      else {
+        var s = map.getOrNull(b)
+        if (s == null) { s = make(b); map(b) = s }
+        ids(j) = b
+        recent(j) = s
+        s
+      }
+    }
   }
 
   /** A block's rows in one partition, sampled at a known rate and split
@@ -325,7 +491,7 @@ object SampleAgg {
   private final class Fixed(val rate: Double, bounds: Option[Boundaries]) {
     var rows = 0L
     val sample = new BlockSample(if (bounds.isEmpty) 1 else Region.all.size)
-    def take(u: Double, a: Double): Unit = sample.add(a, bounds.fold(0)(_.classify(a).index))
+    def take(a: Double): Unit = sample.add(a, bounds.fold(0)(_.classify(a).index))
   }
 
   /** One stream's candidates in one partition, all groups: once they
@@ -453,11 +619,15 @@ object SampleAgg {
   private final case class ScanPart(rows: Array[(Long, Long)], pilot: Array[Drawn], sketch: Array[Drawn],
                                     moments: Array[Drawn])
 
-  /** A [[oneScan]] partition, one of `parts`. */
-  private final class ScanPartition(k: Int, parts: Int, pooled: Boolean, sizes: Option[Map[Long, Long]],
+  /** A [[oneScan]] partition, one of `parts`, drawing the σ pilot's,
+    * sketch₀'s and the moment pass's streams from `rng`, `rng2` and `rng3`.
+    */
+  private final class ScanPartition(rng: java.util.Random, rng2: java.util.Random, rng3: java.util.Random, k: Int,
+                                    parts: Int, pooled: Boolean, sizes: Option[Map[Long, Long]],
                                     sketchRate: (Double, Long) => Double,
                                     momentRate: PreEstimation.MomentRate, limit: Long) {
-    val blocks = mutable.LongMap.empty[Speculating]
+    private val slots = new Blocks(slot)
+    private def blocks = slots.map
     private val pilots, sketches, momentStream = new Stream(limit)
     private val groups = mutable.LongMap.empty[Group]
     /** Estimates renewed since the moment bounds were last lowered. */
@@ -527,12 +697,32 @@ object SampleAgg {
       if (rates != null) blocks.foreach { case (b, s) => s.moments.lower(momentBound(b, rates)) }
     }
 
-    val unkeyed = new Speculating(if (pooled) group(0L) else null, null)
-    def slot(b: Long): Speculating = {
+    private val unkeyed = new Speculating(if (pooled) group(0L) else null, null)
+    private def slot(b: Long): Speculating = {
       val moments = momentRate.fold(r => new Candidates(momentStream, r(b), 2 * k),
         _ => new Candidates(momentStream, 1.0, 2 * k, () => momentBound(b, momentRates())))
       moments.relower()
       new Speculating(group(b), moments)
+    }
+
+    /** [[oneScan]]'s row loop, a batch a call (see [[job]]). */
+    def add(batch: Batch): Unit = {
+      val (nulls, ids, values) = (batch.nulls, batch.blocks, batch.values)
+      var i = 0
+      while (i < batch.size) {
+        val u = draw(rng)
+        val v = draw(rng2)
+        val w = draw(rng3)
+        val s = if ((nulls(i) & NullBlock) != 0) unkeyed else slots(ids(i))
+        s.rows += 1
+        if ((nulls(i) & NullValue) == 0) {
+          val a = values(i)
+          if (u < s.rate) s.take(u, a)
+          if (v < s.rate2) s.take2(v, a)
+          if (w < s.rate3) s.take3(w, a)
+        }
+        i += 1
+      }
     }
 
     def result(): ScanPart = {

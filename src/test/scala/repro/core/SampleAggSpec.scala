@@ -1,6 +1,9 @@
 package repro.core
 
+import java.nio.file.Files
+
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
@@ -214,6 +217,110 @@ class SampleAggSpec extends SparkSpec {
         for (d <- capped.pilot) assert(d.folded != null == folded && (folded || d.bound == 0.0 && d.us.isEmpty), clue)
         for (d <- capped.sketch ++ capped.moments) assert(d.bound == 0.0 && d.us.isEmpty, clue)
         assert(capped.sizes == sizes, clue)
+      } finally { df.unpersist(); () }
+    }
+  }
+
+  /** Whether a pass over `df`'s `block` and `value` reads column batches:
+    * the kernel's own choice.
+    */
+  private def columnar(df: DataFrame, block: Column, value: Column): Boolean =
+    SampleAgg.columns(SampleAgg.planned(df, block, value).executedPlan).isDefined
+
+  test("column batches and rows give the same samples and candidates") {
+    def fields(s: BlockSample) = (s.rows, s.regions.toSeq, s.n, s.sd, s.min, s.finite)
+    def drawn(d: SampleAgg.Drawn) = (d.group, d.rows, d.bound, d.us.toSeq, d.as.toSeq, Option(d.folded).map(fields))
+    def samples(m: Map[Long, BlockSample]) = m.map { case (b, s) => b -> fields(s) }
+    def scan(s: SampleAgg.Speculation) = (s.sizes, s.pilot.map(drawn), s.sketch.map(drawn), s.moments.map(drawn))
+    val split: Long => Option[Boundaries] = b => Some(Boundaries(97.5 + b, 30.0, 0.5, 2.0))
+    val sketchRate: (Double, Long) => Double = (sigma, m) => math.min(1.0, 3 * sigma / m)
+
+    // 60 000 rows in 4 partitions: each is two cached column batches and
+    // several Parquet and row batches. Every column has nulls. The
+    // uncached input has 5 partitions, a plan the cache does not hold.
+    val id = col("id")
+    def frame(parts: Int) = spark.range(0, 60000, 1, parts).select(
+      when(id % 11 === 3, lit(null)).otherwise(id % 7).as("block"),
+      when(id % 13 === 0, lit(null)).otherwise(lit(100.0) + randn(3) * 20).as("d"),
+      when(id % 17 === 0, lit(null)).otherwise((id * 37 % 1000).cast("int")).as("i"),
+      when(id % 19 === 0, lit(null)).otherwise(id * 7919 % 100003).as("l"))
+    val base = frame(4)
+    val decimal = base.select(col("block"), col("d").cast("decimal(12, 4)").as("dec"))
+    val dir = Files.createTempDirectory("sample-agg")
+    val cached = base.cache()
+    val decimalCached = decimal.cache()
+    val vectorized = "spark.sql.inMemoryColumnarStorage.enableVectorizedReader"
+    val before = spark.conf.getOption(vectorized)
+    try {
+      base.write.parquet(dir.resolve("base").toString)
+      decimal.write.parquet(dir.resolve("decimal").toString)
+      val parquet = spark.read.parquet(dir.resolve("base").toString)
+      for (cacheVectors <- Seq(true, false)) {
+        spark.conf.set(vectorized, cacheVectors)
+        // A decimal column is read by rows, whatever the scan.
+        for (df <- Seq(decimal, decimalCached, spark.read.parquet(dir.resolve("decimal").toString)))
+          assert(!columnar(df, col("block"), col("dec")), s"decimal, cached vectors: $cacheVectors")
+        val inputs = Seq(("cached", cached, cacheVectors), ("Parquet", parquet, true), ("uncached range", frame(5), false))
+        for ((input, df, batches) <- inputs; v <- Seq("d", "i", "l"); pooled <- Seq(false, true)) {
+          val clue = s"$input, value $v, pooled: $pooled, cached vectors: $cacheVectors"
+          val block = if (pooled) lit(0L) else col("block")
+          // The same columns, computed (the optimizer keeps these): their pass reads rows.
+          val (rowBlock, rowValue) = (if (pooled) lit(0L) else col("block") * 2 - col("block"), col(v) * 2 / 2)
+          assert(columnar(df, block, col(v)) == batches, clue)
+          assert(!columnar(df, rowBlock, rowValue), clue)
+          def run(b: Column, value: Column) = SampleAgg.run(df, b, value, "test", 31L, _ => 0.3, split, 17.5)
+          assert(samples(run(block, col(v))) == samples(run(rowBlock, rowValue)), clue)
+          def oneScan(b: Column, value: Column) =
+            SampleAgg.oneScan(df, b, value, "test", 32L, 600, pooled, None, sketchRate, Left(_ => 0.2), 4e6)
+          assert(scan(oneScan(col("block"), col(v))) == scan(oneScan(col("block") * 2 - col("block"), rowValue)), clue)
+        }
+      }
+    } finally {
+      before.fold(spark.conf.unset(vectorized))(spark.conf.set(vectorized, _))
+      Seq(cached, decimalCached).foreach(_.unpersist())
+      Files.walk(dir).iterator().asScala.toSeq.reverse.foreach(Files.delete)
+    }
+  }
+
+  test("the benchmark's input shapes are read by column batches") {
+    // Cached (value double, block long) frames, read per block, pooled
+    // (a constant block) and for block sizes (a constant value).
+    val df = Distributions.normal(spark, 20000L, 100.0, 20.0, 10, seed = 15).cache()
+    try {
+      for ((block, value) <- Seq(col("block") -> col("value"), lit(0L) -> col("value"), col("block") -> lit(0.0)))
+        assert(columnar(df, block, value), s"a pass over ($block, $value) reads rows")
+    } finally { df.unpersist(); () }
+  }
+
+  test("NaN and ±Inf reach US, STS and MV as they reach SQL avg, on both read paths; ISLA and MVB reject them") {
+    import spark.implicits._
+    val p = IslaParams(e = 1.0)
+    def same(a: Double, b: Double) = java.lang.Double.compare(a, b) == 0
+    val bads = Seq(Seq(Double.NaN), Seq(Double.PositiveInfinity), Seq(Double.NegativeInfinity),
+      Seq(Double.PositiveInfinity, Double.NegativeInfinity))
+    for (bad <- bads; cache <- Seq(false, true)) {
+      val rows = (0 until 1000).map(i => (if (i % 400 == 100 && i / 400 < bad.size) bad(i / 400) else 100.0 + i % 7,
+        (i % 3).toLong))
+      val df = if (cache) rows.toDF("value", "block").cache() else rows.toDF("value", "block")
+      val clue = s"${bad.mkString(", ")}, cached: $cache"
+      try {
+        assert(columnar(df, col("block"), col("value")) == cache, clue)
+        val perBlock = df.groupBy("block").agg(count("value").as("n"), avg("value").as("a"),
+          sum("value").as("s"), sum(col("value") * col("value")).as("s2"))
+        val sql = perBlock.agg(sum(col("n") * col("a")) / sum("n"), sum(col("s2") / col("s") * col("n")) / sum("n"))
+          .collect()(0)
+        val sqlAvg = df.agg(avg("value")).collect()(0).getDouble(0)
+        val answers = Seq(("US", UniformSampling.run(df, "value", 1.0).answer, sqlAvg),
+          ("STS", StratifiedSampling.run(df, "value", 1.0).answer, sql.getDouble(0)),
+          ("MV", MeasureBiased.runMV(df, "value", 1.0).answer, sql.getDouble(1)))
+        for ((name, got, expected) <- answers)
+          assert(same(got, expected) && !java.lang.Double.isFinite(got), s"$name: $got, SQL $expected; $clue")
+        val runs = Seq[() => Any](() => Isla.run(df, "value", p.copy(rateOverride = Some(1.0))),
+          () => MeasureBiased.runMVB(df, "value", 1.0, p))
+        runs.foreach { run =>
+          val e = intercept[IllegalArgumentException](run())
+          assert(e.getMessage.endsWith("column value has NaN or infinite values"), s"$clue: ${e.getMessage}")
+        }
       } finally { df.unpersist(); () }
     }
   }
