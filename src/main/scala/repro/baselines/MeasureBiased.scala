@@ -29,14 +29,10 @@ object MeasureBiased {
     require(rate > 0 && rate <= 1, s"rate must be in (0,1]: $rate")
     val rows = SampleAgg.run(df, col(blockCol), col(valueCol), "MV", seed, _ => rate)
       .toSeq.sortBy(_._1)
-      .collect { case (b, s) if s.n > 0 => (b, s.all.sum, s.all.sum2, s.all.n) }
+      .collect { case (b, s) if s.n > 0 => (b, if (s.all.sum == 0) 0.0 else s.all.sum2 / s.all.sum, s.all.n) }
     require(rows.nonEmpty, "MV sample came back empty")
-    val partials = rows.map { case (b, s, s2, _) => (b, if (s == 0) 0.0 else s2 / s) }.toSeq
-    val totalN = rows.map(_._4).sum
-    val answer = rows.map { case (_, s, s2, n) =>
-      (if (s == 0) 0.0 else s2 / s) * n
-    }.sum / totalN
-    BaselineResult(answer, partials)
+    val answer = rows.map { case (_, est, n) => est * n }.sum / rows.map(_._3).sum
+    BaselineResult(answer, rows.map { case (b, est, _) => (b, est) })
   }
 
   /** MVB: measure-biased re-weighting on values and data boundaries.

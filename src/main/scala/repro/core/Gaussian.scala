@@ -1,13 +1,15 @@
 package repro.core
 
+import org.apache.commons.math3.special.Erf
+
 /** Standard-normal math needed by the paper's precision machinery.
   *
   * Eq. (1) needs the two-sided quantile `u` for a confidence `β`
-  * (`u = Φ⁻¹((1+β)/2)`, e.g. β=0.95 → u≈1.96). Spark ships no scalar
-  * quantile function usable on the driver, so we implement Acklam's
-  * rational approximation of Φ⁻¹ (|rel err| < 1.15e-9) plus Φ via
-  * `erfc`-style series — both are pure functions used by
-  * [[SampleSize]] and by tests that predict region proportions.
+  * (`u = Φ⁻¹((1+β)/2)`, e.g. β=0.95 → u≈1.96), taken from the inverse
+  * error function of commons-math3, which Spark ships. Φ stays the A&S
+  * polynomial below: κ(p₁,p₂) reads it, and every modulated answer reads
+  * κ, so an exact Φ would move their last bits. Both are pure functions
+  * used by [[SampleSize]] and by tests that predict region proportions.
   */
 object Gaussian {
 
@@ -25,36 +27,14 @@ object Gaussian {
     if (x >= 0) 1.0 - tail else tail
   }
 
-  /** Quantile function Φ⁻¹(p) of N(0,1) (Acklam's algorithm).
+  /** Quantile function Φ⁻¹(p) = √2·erf⁻¹(2p − 1) of N(0,1), with Giles's
+    * erf⁻¹ ("Approximating the erfinv function", 2011).
     *
-    * Defined for p ∈ (0,1); throws outside. |rel err| < 1.15e-9.
+    * Defined for p ∈ (0,1); throws outside.
     */
   def inverseCdf(p: Double): Double = {
     require(p > 0.0 && p < 1.0, s"quantile argument must be in (0,1), got $p")
-    // Coefficients for the central and tail rational approximations.
-    val a = Array(-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-                  1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    val b = Array(-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-                  6.680131188771972e+01, -1.328068155288572e+01)
-    val c = Array(-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-                  -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    val d = Array(7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-                  3.754408661907416e+00)
-    val pLow = 0.02425
-    if (p < pLow) {
-      val q = math.sqrt(-2.0 * math.log(p))
-      (((((c(0) * q + c(1)) * q + c(2)) * q + c(3)) * q + c(4)) * q + c(5)) /
-        ((((d(0) * q + d(1)) * q + d(2)) * q + d(3)) * q + 1.0)
-    } else if (p <= 1.0 - pLow) {
-      val q = p - 0.5
-      val r = q * q
-      (((((a(0) * r + a(1)) * r + a(2)) * r + a(3)) * r + a(4)) * r + a(5)) * q /
-        (((((b(0) * r + b(1)) * r + b(2)) * r + b(3)) * r + b(4)) * r + 1.0)
-    } else {
-      val q = math.sqrt(-2.0 * math.log(1.0 - p))
-      -(((((c(0) * q + c(1)) * q + c(2)) * q + c(3)) * q + c(4)) * q + c(5)) /
-        ((((d(0) * q + d(1)) * q + d(2)) * q + d(3)) * q + 1.0)
-    }
+    math.sqrt(2.0) * Erf.erfInv(2.0 * p - 1.0)
   }
 
   /** Two-sided confidence quantile: `u` with P(|Z| ≤ u) = β (Def. 1). */

@@ -63,9 +63,7 @@ object Isla {
       blockCol: String = "block",
       seed: Long = 7L,
   ): IslaResult = {
-    val eq1: (Double, Long) => Double = (sigma, m) =>
-      if (sigma <= 0) SampleAgg.pilotRate(p.sigmaPilot, m) // constant data
-      else math.min(1.0, SampleSize.samplingRate(sigma, p.e, p.beta, m) * p.rateFraction)
+    val eq1: (Double, Long) => Double = (sigma, m) => SampleSize.rate(sigma, p.e, p, m) * p.rateFraction
     val momentRate: PreEstimation.MomentRate = p.rateOverride.map(r => (_: Long) => r)
       .toLeft { pres => val pr = pres.head; _ => eq1(pr.sigma, pr.size) }
     val scan = PreEstimation.oneScan(df, col(blockCol), valueCol, sizes, p, seed, "ISLA", pooled = true, momentRate,

@@ -52,9 +52,8 @@ object IslaNonIid {
   private def overallRate(pres: Seq[BlockPre], m: Long, p: IslaParams): (Double, Double) = {
     val mean = pres.map(pr => pr.size.toDouble * pr.sketch0).sum / m
     val pooledSigma = math.sqrt(
-      pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + (pr.sketch0 - mean) * (pr.sketch0 - mean))).sum / m
-    ).max(1e-9)
-    (pooledSigma, p.rateOverride.getOrElse(SampleSize.samplingRate(pooledSigma, p.e, p.beta, m) * p.rateFraction))
+      pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + (pr.sketch0 - mean) * (pr.sketch0 - mean))).sum / m)
+    (pooledSigma, p.rateOverride.getOrElse(SampleSize.rate(pooledSigma, p.e, p, m) * p.rateFraction))
   }
 
   /** Each block's rate `min(1, r·M·blevⱼ/|Bⱼ|)` from the blocks' pre-estimates. */

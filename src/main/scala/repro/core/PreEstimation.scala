@@ -66,12 +66,9 @@ object PreEstimation {
     oneScan(df, lit(0L), valueCol, Some(Map(0L -> dataSize)), p, seed, "ISLA", pooled = true).pres.head
 
   /** sketch₀'s rate in a group of `n` rows with pilot σ̂ `sigma`: Eq. 1 at
-    * the relaxed precision t_e·e; for a constant group any sample gives
-    * the exact mean.
+    * the relaxed precision t_e·e.
     */
-  private def sketchRate(p: IslaParams)(sigma: Double, n: Long): Double =
-    if (sigma <= 0) SampleAgg.pilotRate(p.sigmaPilot, n)
-    else SampleSize.samplingRate(sigma, p.te * p.e, p.beta, n)
+  private def sketchRate(p: IslaParams)(sigma: Double, n: Long): Double = SampleSize.rate(sigma, p.te * p.e, p, n)
 
   private def nonEmpty(sizes: Map[Long, Long]) = { require(sizes.values.sum > 0, "empty input"); sizes }
 
@@ -120,7 +117,7 @@ object PreEstimation {
     def at(rates: Map[Long, Double]): Long => Double = rates.getOrElse(_, 0.0)
 
     val pilot = resolve(scan.pilot, "σ pilot", 0, groupCol,
-      at(groups.map { case (g, n) => g -> SampleAgg.pilotRate(p.sigmaPilot, n) }))
+      at(groups.map { case (g, n) => g -> SampleSize.pilotRate(p.sigmaPilot, n) }))
     def pl(g: Long) = pilot.getOrElse(g, new BlockSample(1))
     val sigma = groups.map { case (g, _) => g -> pl(g).sd }
     val lowest = groups.keys.map(pl(_).min).min

@@ -110,9 +110,6 @@ object SampleAgg {
     */
   private def margin(n: Int): Double = math.max(Margin, 1.0 / (1.0 - 5.3 * math.sqrt(2.0 / n)))
 
-  /** The σ pilot's rate in a group of `n` rows: min(1, k/n). */
-  private[core] def pilotRate(k: Int, n: Long): Double = math.min(1.0, k.toDouble / n)
-
   /** Runs one pass and returns what it learned per block.
     *
     * Every row draws from `XORShiftRandom(seed + partition)`, the
@@ -187,15 +184,21 @@ object SampleAgg {
                            shift: Double = 0.0): Option[Map[Long, BlockSample]] =
     Option.when(drawn.forall(d => if (d.folded == null) rate(d.group) <= d.bound else rate(d.group) == d.bound))(
       merge(drawn.iterator.map { d =>
-        if (d.folded != null) d.group -> d.folded
-        else {
-          val slot = new Fixed(rate(d.group), bounds(d.group))
-          var i = 0
-          while (i < d.us.length) { if (d.us(i) < slot.rate) slot.take(d.as(i) + shift); i += 1 }
-          slot.sample.rows = d.rows
-          d.group -> slot.sample
-        }
+        val g = d.group
+        g -> Option(d.folded).getOrElse(fold(d.us, d.as, d.us.length, rate(g), bounds(g), shift, d.rows))
       }))
+
+  /** The sample [[run]] takes at `rate`, `bounds` and `shift` from a
+    * group's `rows` rows, folded from the first `n` of its candidates.
+    */
+  private def fold(us: Array[Double], as: Array[Double], n: Int, rate: Double, bounds: Option[Boundaries],
+                   shift: Double, rows: Long): BlockSample = {
+    val slot = new Fixed(rate, bounds)
+    var i = 0
+    while (i < n) { if (us(i) < rate) slot.take(as(i) + shift); i += 1 }
+    slot.sample.rows = rows
+    slot.sample
+  }
 
   /** Merges partitions' samples per block in the order given, as Spark's
     * final aggregate merges partitions.
@@ -225,11 +228,12 @@ object SampleAgg {
     * streams run per pilot group: the whole input, null block ids
     * included, with `pooled`, else each block. Each stream keeps its
     * group's candidates below a bound that only falls:
-    *  - the σ pilot below [[pilotRate]]`(k, rows with a block id so far)`
-    *    (pooled) or `(k, the block's rows so far)` (a block), which its
-    *    final rate `pilotRate(k, group size)` cannot exceed; when `sizes`
-    *    is given a block's pilot rate is known, and its pilot is folded
-    *    at that rate in the scan, as [[run]] folds it;
+    *  - the σ pilot below [[SampleSize.pilotRate]]`(k, rows with a block
+    *    id so far)` (pooled) or `(k, the block's rows so far)` (a block),
+    *    which its final rate `pilotRate(k, group size)` cannot exceed; when
+    *    `sizes` is given a block's pilot rate is known, and its pilot keeps
+    *    its candidates below that rate, uncapped, and is folded at it at the
+    *    partition's end, as [[run]] folds it;
     *  - sketch₀ below [[margin]] × `sketchRate` at the group's σ̂ (the
     *    standard deviation of its pilot candidates) and size: its size in
     *    `sizes`, else its rows seen times the partitions;
@@ -241,8 +245,9 @@ object SampleAgg {
     * of two of at least [[MinSigma]], and at the partition's end; its
     * sketch₀ bound is lowered then, the moment bounds once an eighth of
     * the groups have renewed, and each bound at its buffer's trims. A
-    * partition's streams each keep at most `cap` ÷ partitions candidates;
-    * past that a stream keeps none and its bounds are 0. Each stream,
+    * partition's streams, but for the pilots at known rates, each keep at
+    * most `cap` ÷ partitions candidates; past that a stream keeps none and
+    * its bounds are 0. Each stream,
     * [[replay]]ed at its resolved rates, equals [[run]] over `lit(0L)`
     * (pooled) or `block` at its seed, unless a partition's bound fell
     * below its group's rate.
@@ -503,38 +508,8 @@ object SampleAgg {
     def check(): Unit = if (!over && buffers.iterator.map(_.size.toLong).sum > limit) over = true
   }
 
-  /** A stream's state for one group in one partition. */
-  private sealed trait Sampled {
-    def bound: Double
-    def offer(u: Double, a: Double): Unit
-    /** The number, mean and sample standard deviation of the values drawn
-      * below the bound, a uniform sample of the rows seen.
-      */
-    def stats(): (Int, Double, Double)
-    /** The state at the partition's end, as group `group` of `rows` rows. */
-    def drawn(group: Long, rows: Long): Drawn
-  }
-
   /** Whether a stream's `n` values call for new estimates: a power of two of at least [[MinSigma]]. */
   private def renewAt(n: Int): Boolean = n >= MinSigma && (n & (n - 1)) == 0
-
-  /** A stream at a known rate, folded as [[run]] folds it; `grown` is
-    * called when its sample reaches a power of two of at least [[MinSigma]].
-    */
-  private final class Folding(val bound: Double, grown: () => Unit) extends Sampled {
-    private val sample = new BlockSample(1)
-    private var n = 0
-    def offer(u: Double, a: Double): Unit = if (u < bound) {
-      sample.add(a, 0)
-      n += 1
-      if (renewAt(n)) grown()
-    }
-    def stats(): (Int, Double, Double) = (n, sample.avg, sample.sd)
-    def drawn(group: Long, rows: Long): Drawn = {
-      sample.rows = rows
-      Drawn(group, rows, bound, Array.emptyDoubleArray, Array.emptyDoubleArray, sample)
-    }
-  }
 
   /** A stream's candidates for one group in one partition, in row order:
     * the draw and raw value of each row drawn below the bound at the
@@ -546,7 +521,7 @@ object SampleAgg {
     * two of at least [[MinSigma]].
     */
   private final class Candidates(stream: Stream, start: Double, minTrim: Int, rule: () => Double = () => Double.NaN,
-                                 grown: () => Unit = null) extends Sampled {
+                                 grown: () => Unit = null) {
     stream.buffers += this
     var bound: Double = start
     var size = 0
@@ -580,6 +555,9 @@ object SampleAgg {
       size = kept
     }
 
+    /** The number, mean and sample standard deviation of the values drawn
+      * below the bound, a uniform sample of the rows seen.
+      */
     def stats(): (Int, Double, Double) = {
       val b = bound
       var n = 0
@@ -592,9 +570,16 @@ object SampleAgg {
       (n, mean, math.sqrt(m2 / (n - 1)))
     }
 
+    /** The candidates at the partition's end, as group `group` of `rows` rows. */
     def drawn(group: Long, rows: Long): Drawn = {
       trim()
       Drawn(group, rows, bound, Arrays.copyOf(us, size), Arrays.copyOf(as, size))
+    }
+
+    /** The sample at the partition's end, folded at the bound, as [[run]] folds it at that rate. */
+    def folded(group: Long, rows: Long): Drawn = {
+      val sample = fold(us, as, size, bound, None, 0.0, rows)
+      Drawn(group, rows, bound, Array.emptyDoubleArray, Array.emptyDoubleArray, sample)
     }
   }
 
@@ -629,6 +614,8 @@ object SampleAgg {
     private val slots = new Blocks(slot)
     private def blocks = slots.map
     private val pilots, sketches, momentStream = new Stream(limit)
+    /** The pilots at known rates, which never rerun. */
+    private val knownPilots = new Stream(Long.MaxValue)
     private val groups = mutable.LongMap.empty[Group]
     /** Estimates renewed since the moment bounds were last lowered. */
     private var renewed = 0
@@ -649,9 +636,13 @@ object SampleAgg {
       /** The group's rows here; a pooled group's include null block ids. */
       def rows: Long = if (pooled) unkeyed.rows + counted else seen
       def estimated: Boolean = count > 0 && finite(sigma) && finite(mean) && size > 0
-      val pilot: Sampled =
-        if (pooled || sizes.isEmpty) new Candidates(pilots, 1.0, 2 * k, () => pilotRate(k, seen), () => renew())
-        else new Folding(known.fold(0.0)(pilotRate(k, _)), () => renew())
+      /** The pilot's rate, if known in the scan: a block's, with `sizes`. */
+      private val pilotRate = Option.when(!pooled && sizes.nonEmpty)(known.fold(0.0)(SampleSize.pilotRate(k, _)))
+      val pilot = pilotRate match {
+        case Some(r) => new Candidates(knownPilots, r, 2 * k, grown = () => renew())
+        case None => new Candidates(pilots, 1.0, 2 * k, () => SampleSize.pilotRate(k, seen), () => renew())
+      }
+      def pilotDrawn: Drawn = if (pilotRate.isEmpty) pilot.drawn(id, rows) else pilot.folded(id, rows)
       val sketch = new Candidates(sketches, 1.0, 2 * k,
         () => if (estimated) margin(count) * sketchRate(sigma, size) else Double.NaN)
 
@@ -728,7 +719,7 @@ object SampleAgg {
     def result(): ScanPart = {
       // The pilots' final trims and estimates first: the other bounds read them.
       val live = groups.valuesIterator.filter(_.rows > 0).toArray
-      val pilot = live.map(g => g.pilot.drawn(g.id, g.rows))
+      val pilot = live.map(_.pilotDrawn)
       live.foreach(_.estimate())
       lowerMoments()
       ScanPart(blocks.iterator.map { case (b, s) => b -> s.rows }.toArray, pilot,

@@ -26,4 +26,14 @@ object SampleSize {
     require(dataSize > 0, s"data size must be positive, got $dataSize")
     math.min(1.0, sampleSize(sigma, e, beta).toDouble / dataSize)
   }
+
+  /** Eq. 1's rate in a group of `n` rows with pilot σ̂ `sigma`, at precision
+    * `e` and `p`'s confidence; for constant data (σ̂ ≤ 0) any sample gives
+    * the exact mean, so the pilot's rate.
+    */
+  def rate(sigma: Double, e: Double, p: IslaParams, n: Long): Double =
+    if (sigma <= 0) pilotRate(p.sigmaPilot, n) else samplingRate(sigma, e, p.beta, n)
+
+  /** The σ pilot's rate in a group of `n` rows: min(1, k/n). */
+  def pilotRate(k: Int, n: Long): Double = math.min(1.0, k.toDouble / n)
 }

@@ -8,7 +8,8 @@ import repro.core.{Isla, IslaParams, Moments}
 import repro.SynthData
 
 /** §VIII-F — efficiency on TPC-H data: total run time of 20 runs of each
-  * algorithm over the LINEITEM aggregation column.
+  * algorithm over the LINEITEM aggregation column, timed in rounds that
+  * run each algorithm once, after one warm-up run of each.
   *
   * Substitution (DESIGN.md §3): the paper reads 100 GB (6·10⁸ rows); we
   * use `SynthData.lineitem` at SF=0.1 (6·10⁵ rows) on `l_extendedprice`
@@ -27,33 +28,32 @@ object Timing {
       df.count() // materialize outside the timed region
       val sizes = Moments.blockSizes(df)
       val p = IslaParams(e = e)
-      // Warm-up run fixes the shared rate and JITs the code paths.
+      // ISLA's warm-up run fixes the shared rate.
       val warm = Isla.run(df, "value", p, Some(sizes), seed = seed)
       val r = Tables.requiredRate(warm, p)
+      val methods = Seq[(String, () => Unit)](
+        "ISLA" -> (() => Isla.run(df, "value", p, Some(sizes), seed = seed + 1)),
+        "MV"   -> (() => MeasureBiased.runMV(df, "value", r, seed = seed + 2)),
+        "MVB"  -> (() => MeasureBiased.runMVB(df, "value", r, p, Some(sizes), seed = seed + 3)),
+        "US"   -> (() => UniformSampling.run(df, "value", r, seed = seed + 4)),
+        "STS"  -> (() => StratifiedSampling.run(df, "value", r, Some(sizes), seed = seed + 5)),
+      )
+      methods.tail.foreach(_._2()) // every code path JIT-compiled before timing
 
-      def time(body: => Unit): Double = {
+      // Each round runs every method once, and the first method rotates
+      // from round to round, so no method always pays for the one before.
+      val total = Array.fill(methods.size)(0.0)
+      for (round <- 0 until runs; j <- methods.indices) {
+        val i = (round + j) % methods.size
         val t0 = System.nanoTime()
-        var i = 0
-        while (i < runs) { body; i += 1 }
-        (System.nanoTime() - t0) / 1e6
+        methods(i)._2()
+        total(i) += (System.nanoTime() - t0) / 1e6
       }
-
-      val tIsla = time { Isla.run(df, "value", p, Some(sizes), seed = seed + 1); () }
-      val tMv   = time { MeasureBiased.runMV(df, "value", r, seed = seed + 2); () }
-      val tMvb  = time { MeasureBiased.runMVB(df, "value", r, p, Some(sizes), seed = seed + 3); () }
-      val tUs   = time { UniformSampling.run(df, "value", r, seed = seed + 4); () }
-      val tSts  = time { StratifiedSampling.run(df, "value", r, Some(sizes), seed = seed + 5); () }
 
       ExpTable(
         s"§VIII-F — efficiency, TPC-H-lite lineitem SF=$sf, total ms over $runs runs",
         Seq("total_ms", "per_run_ms"),
-        Seq(
-          "ISLA" -> Seq(tIsla, tIsla / runs),
-          "MV"   -> Seq(tMv, tMv / runs),
-          "MVB"  -> Seq(tMvb, tMvb / runs),
-          "US"   -> Seq(tUs, tUs / runs),
-          "STS"  -> Seq(tSts, tSts / runs),
-        ),
+        methods.indices.map(i => methods(i)._1 -> Seq(total(i), total(i) / runs)),
         Seq(f"shared sampling rate r=$r%.4f; paper (100GB, 20 runs): ISLA 31979ms, MV 61718ms, MVB 70584ms, US 25989ms, STS 84294ms"),
       )
     }

@@ -58,6 +58,13 @@ class GaussianSpec extends AnyFunSuite {
     assert(math.abs(Gaussian.inverseCdf(0.9) - 1.281552) < 1e-5)
   }
 
+  test("inverseCdf is within 1e-12 of the published quantiles") {
+    Seq(0.9 -> 1.2815515655446004, 0.95 -> 1.6448536269514722, 0.975 -> 1.959963984540054,
+      0.995 -> 2.5758293035489004).foreach { case (p, z) =>
+      assert(math.abs(Gaussian.inverseCdf(p) - z) <= 1e-12, s"p=$p: ${Gaussian.inverseCdf(p)} vs $z")
+    }
+  }
+
   test("inverseCdf lower-tail branch (p < 0.02425) agrees with cdf") {
     val x = Gaussian.inverseCdf(0.001)
     assert(math.abs(Gaussian.cdf(x) - 0.001) < 1e-6)

@@ -236,6 +236,19 @@ class IslaSpec extends SparkSpec {
       val r = Isla.run(df, "value", p, seed = 43)
       assert(math.abs(r.answer - 42.0) < 1e-9, s"answer=${r.answer}")
     } finally { df.unpersist(); () }
+    // Five blocks: both pipelines sample a constant at the σ pilot's rate and report σ 0.
+    val blocks = (0 until 10000).map(i => (42.0, (i % 5).toLong)).toDF("value", "block").cache()
+    try {
+      val sizes = Moments.blockSizes(blocks)
+      for (s <- Seq(None, Some(sizes));
+           (name, r) <- Seq("Isla" -> Isla.run(blocks, "value", p, s, seed = 43),
+                            "IslaNonIid" -> IslaNonIid.run(blocks, "value", p, s, seed = 43))) {
+        val at = s"$name, sizes ${s.isDefined}"
+        assert(math.abs(r.answer - 42.0) < 1e-9, s"$at: answer=${r.answer}")
+        assert(r.sigma == 0.0, s"$at: sigma=${r.sigma}")
+        assert(r.rate == SampleSize.pilotRate(2000, 10000L), s"$at: rate=${r.rate}")
+      }
+    } finally { blocks.unpersist(); () }
   }
 
   test("tighter precision lowers the final error on average (Fig. 6a mechanism)") {

@@ -136,7 +136,7 @@ class SampleAggSpec extends SparkSpec {
         Oracle.assertEquivalent(sizes.toSeq.toDF("block", "n"),
           "SELECT block, count(*) AS n FROM t WHERE block IS NOT NULL GROUP BY block", "t" -> df)
         assert(sizes == Moments.blockSizes(df))
-        val rates: Long => Double = b => SampleAgg.pilotRate(k, sizes(b))
+        val rates: Long => Double = b => SampleSize.pilotRate(k, sizes(b))
         val expected = SampleAgg.run(df, col("block"), col("value"), "test", 15L, rates)
         for ((given, drawn) <- Seq(false -> perBlock, true -> scan(15L, pooled = false, Some(sizes), df))) {
           val clue = s"contiguous=$contiguous, sizes given: $given"
@@ -150,7 +150,7 @@ class SampleAggSpec extends SparkSpec {
         // Pooled, in one scan: the count skips null block ids, the pilot still draws from them.
         val pooledScan = scan(16L, pooled = true, None, df)
         assert(pooledScan.sizes == sizes)
-        val rate = SampleAgg.pilotRate(k, sizes.values.sum)
+        val rate = SampleSize.pilotRate(k, sizes.values.sum)
         val pooled = SampleAgg.replay(pooledScan.pilot, _ => rate).get
         val all = SampleAgg.run(df, lit(0L), col("value"), "test", 16L, _ => rate)
         assert(pooled.keySet == Set(0L) && pooled(0L).n > 0)
