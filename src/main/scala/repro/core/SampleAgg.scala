@@ -7,14 +7,18 @@ import scala.collection.mutable
 import scala.reflect.ClassTag
 import scala.util.control.NonFatal
 
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{Alias, Attribute, Cast, Expression, Literal}
+import org.apache.spark.sql.classic.ColumnExpression
 import org.apache.spark.sql.execution.{ColumnarToRowExec, InputAdapter, LeafExecNode, ProjectExec, QueryExecution,
   SQLExecution, SparkPlan, WholeStageCodegenExec}
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType}
 import org.apache.spark.sql.vectorized.{ColumnVector, ColumnarBatch}
+import org.apache.spark.storage.StorageLevel
 import org.apache.spark.util.random.RandGenerator
 
 /** What one sampled pass learns about one block: rows seen, and the
@@ -75,7 +79,7 @@ final class BlockSample(regionCount: Int) extends Serializable {
 /** The one kernel behind every sampled pass: block sizes, both pilots,
   * Algorithm 1's moment pass and the baselines.
   *
-  * A pass is one `mapPartitionsWithIndex` job over the input's rows, with
+  * A pass is one `runJob` over the input's rows, [[planned]] once, with
   * no shuffle ([[oneScan]] runs three passes in one); partitions are
   * merged on the driver in partition order, as Spark's final aggregate
   * merges them. A pass reads a columnar scan's column batches where its
@@ -282,6 +286,17 @@ object SampleAgg {
     * in the same partitions and the same order, so every draw lands on
     * the same row.
     *
+    * The job is one `runJob` over the RDD of the pass's [[planned]]
+    * input, with a [[Task]], an instance of a named class, not a lambda:
+    * Spark's `ClosureCleaner` reads and parses the class file that defines
+    * each lambda it cleans, and skips an instance of a named class. The
+    * input is planned once per (DataFrame, block, value) and reused while
+    * the session's SQL conf and the DataFrame's storage level are as they
+    * were at planning and every cache the plan reads is still loaded;
+    * otherwise it is planned again. Cleaning three lambdas
+    * (`mapPartitionsWithIndex(f).collect()`), planning and building the
+    * scan's RDD cost every pass about 20 ms of driver time (DESIGN §5).
+    *
     * [[run]] and [[oneScan]] each have their own row loop, so that the JIT
     * compiles each with its own profile: with one loop shared by both, a
     * query's first three-stream scan deoptimized the loop compiled for the
@@ -292,25 +307,71 @@ object SampleAgg {
     */
   private def job[R: ClassTag](df: DataFrame, block: Column, value: Column, label: String)(
       part: (Int, Int, Iterator[Batch]) => R): Array[R] = {
-    val qe = planned(df, block, value)
-    def each[T](rdd: RDD[T], read: Iterator[T] => Iterator[Batch]): Array[R] = {
-      val parts = rdd.getNumPartitions
-      rdd.mapPartitionsWithIndex((i, in) => Iterator.single(part(i, parts, read(in)))).collect()
-    }
+    val in = planned(df, block, value)
     val sc = df.sparkSession.sparkContext
     val outer = sc.getLocalProperty("spark.job.description")
     sc.setJobDescription(label)
-    try columns(qe.executedPlan) match {
-      // Tasks see the session's SQL conf, as `toRdd`'s do.
-      case Some(Columns(scan, b, v)) =>
-        SQLExecution.withSQLConfPropagated(qe.sparkSession)(each(scan.executeColumnar(), Batch.columns(b, v)))
-      case None => each(qe.toRdd, Batch.rows)
+    try {
+      def submit[T](rdd: RDD[T], read: Iterator[T] => Iterator[Batch]): Array[R] = {
+        val parts = rdd.getNumPartitions
+        val out = new Array[R](parts)
+        sc.runJob(rdd, new Task(part, parts, read), 0 until parts, (i: Int, r: R) => out(i) = r)
+        out
+      }
+      in.columns match {
+        // Tasks see the session's SQL conf, as `toRdd`'s do.
+        case Some(Columns(_, b, v)) =>
+          SQLExecution.withSQLConfPropagated(in.qe.sparkSession)(submit(in.batches, Batch.columns(b, v)))
+        case None => submit(in.qe.toRdd, Batch.rows)
+      }
     } finally sc.setJobDescription(outer)
   }
 
-  /** A pass's input: the block id and value columns, cast to long and double. */
-  private[core] def planned(df: DataFrame, block: Column, value: Column): QueryExecution =
-    df.select(block.cast("long"), value.cast("double")).queryExecution
+  /** A pass's task: `part` on one of `parts` partitions, its rows read into batches by `read`. */
+  private final class Task[T, R](part: (Int, Int, Iterator[Batch]) => R, parts: Int,
+                                 read: Iterator[T] => Iterator[Batch])
+      extends ((TaskContext, Iterator[T]) => R) with Serializable {
+    def apply(ctx: TaskContext, in: Iterator[T]): R = part(ctx.partitionId, parts, read(in))
+  }
+
+  /** A pass's input, planned as `qe` under the SQL conf `conf` with its DataFrame at storage level `level`. */
+  private[core] final class Planned(val qe: QueryExecution, conf: Map[String, String], level: StorageLevel) {
+    val columns: Option[Columns] = SampleAgg.columns(qe.executedPlan)
+    private val caches = qe.executedPlan.collect { case s: InMemoryTableScanExec => s.relation.cacheBuilder }
+
+    /** The scan's column batches; `executeColumnar` builds a new RDD each call. */
+    lazy val batches: RDD[ColumnarBatch] = columns.get.scan.executeColumnar()
+
+    /** Whether a pass over `df` may still read this plan: the conf and
+      * `df`'s storage level are as planned, and every cache the plan reads
+      * is loaded (not unpersisted, and so not built again by this plan).
+      */
+    def current(df: DataFrame): Boolean =
+      df.sparkSession.conf.getAll == conf && df.storageLevel == level && caches.forall(_.isCachedColumnBuffersLoaded)
+  }
+
+  /** Each DataFrame's planned passes by (block, value) expression, held
+    * no longer than the DataFrame. Keyed on Catalyst expressions, not
+    * `Column`s: `lit(0L) == lit(0.0)`.
+    */
+  private val plans = new java.util.WeakHashMap[DataFrame, mutable.Map[(Expression, Expression), Planned]]
+
+  /** A pass's input: the block id and value columns, cast to long and
+    * double, planned once per (DataFrame, block, value) and planned again
+    * only when the plan is no longer [[Planned.current]]. A parent of `df`
+    * cached after the first pass is thus not read until then, as Spark's
+    * own plan of a Dataset does not read it; rows and column batches give
+    * the same samples.
+    */
+  private[core] def planned(df: DataFrame, block: Column, value: Column): Planned = {
+    val key = (ColumnExpression(block), ColumnExpression(value))
+    plans.synchronized(Option(plans.get(df)).flatMap(_.get(key))).filter(_.current(df)).getOrElse {
+      val (conf, level) = (df.sparkSession.conf.getAll, df.storageLevel)
+      val fresh = new Planned(df.select(block.cast("long"), value.cast("double")).queryExecution, conf, level)
+      plans.synchronized(plans.computeIfAbsent(df, _ => mutable.Map.empty)(key) = fresh)
+      fresh
+    }
+  }
 
   /** Where a column batch holds one of a pass's two columns: vector
     * `ordinal`, of type `dataType`, or, at ordinal -1, the constant
@@ -651,7 +712,7 @@ object SampleAgg {
         */
       def estimate(): Boolean = {
         val (n, m, sd) = pilot.stats()
-        if (n >= MinSigma) { count = n; mean = m; sigma = sd; sketch.relower() }
+        if (n >= MinSigma) { count = n; mean = m; sigma = sd; built = None; sketch.relower() }
         n >= MinSigma
       }
 
@@ -666,12 +727,22 @@ object SampleAgg {
     private def finite(x: Double) = !x.isNaN && !x.isInfinite
     private def group(b: Long): Group = { val g = if (pooled) 0L else b; groups.getOrElseUpdate(g, new Group(g)) }
 
+    /** The moment rates built since the last renewal of a group's estimates. */
+    private var built: Option[Long => Double] = None
+
     /** The moment rates at the partition's estimates; null before any, or
-      * if the rate fails on them.
+      * if the rate fails on them. They are built again only after a group's
+      * estimates are renewed, not at each block's trims: building them reads
+      * every group. A size guess (no `sizes`) may thus be one renewal old,
+      * smaller than the group's rows now, which only raises a bound.
       */
-    private def momentRates(): Long => Double = momentRate.fold(_ => null, rate =>
-      try rate(groups.valuesIterator.filter(_.estimated).map(g => BlockPre(g.id, g.size, g.sigma, g.mean, 0.0)).toSeq)
-      catch { case NonFatal(_) => null })
+    private def momentRates(): Long => Double = built.getOrElse {
+      val rates = momentRate.fold(_ => null, rate =>
+        try rate(groups.valuesIterator.filter(_.estimated).map(g => BlockPre(g.id, g.size, g.sigma, g.mean, 0.0)).toSeq)
+        catch { case NonFatal(_) => null })
+      built = Some(rates)
+      rates
+    }
 
     /** A block's speculative moment bound: the margin times its rate at
       * the partition's estimates, once its group is estimated.

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.lang.ref.WeakReference
 import java.nio.file.Files
 
 import scala.collection.mutable
@@ -225,7 +226,71 @@ class SampleAggSpec extends SparkSpec {
     * the kernel's own choice.
     */
   private def columnar(df: DataFrame, block: Column, value: Column): Boolean =
-    SampleAgg.columns(SampleAgg.planned(df, block, value).executedPlan).isDefined
+    SampleAgg.planned(df, block, value).columns.isDefined
+
+  test("a pass plans its input once, and again when the conf, the cache or the storage level changes") {
+    def fields(s: BlockSample) = (s.rows, s.regions.toSeq, s.n, s.sd, s.min)
+    val df = input(30000L).cache()
+    val (block, value) = (col("block"), col("value"))
+    def samples() = SampleAgg.run(df, block, value, "test", 5L, _ => 0.3).map { case (b, s) => b -> fields(s) }
+    def plan = SampleAgg.planned(df, block, value)
+    def stored = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
+    val vectorized = "spark.sql.inMemoryColumnarStorage.enableVectorizedReader"
+    val before = spark.conf.getOption(vectorized)
+    try {
+      val expected = samples()
+      // A pass gives the same samples, reading column batches or rows.
+      def pass(batches: Boolean, clue: String): Unit = {
+        assert(samples() == expected, clue)
+        assert(plan.columns.isDefined == batches, clue)
+      }
+      val first = plan
+      pass(batches = true, "cached")
+      assert(plan eq first, "an unchanged pass planned again")
+
+      // Keys are Catalyst expressions: lit(0L) and lit(0.0) are equal Columns.
+      val (asLong, asDouble) = (SampleAgg.planned(df, block, lit(0L)), SampleAgg.planned(df, block, lit(0.0)))
+      assert(asLong ne asDouble)
+      assert((SampleAgg.planned(df, block, lit(0L)) eq asLong) && (SampleAgg.planned(df, block, lit(0.0)) eq asDouble))
+      assert(asDouble.columns.map(_.value.constant) == Some(0.0))
+
+      for (cacheVectors <- Seq(false, true)) {
+        spark.conf.set(vectorized, cacheVectors)
+        pass(batches = cacheVectors, s"cached vectors: $cacheVectors")
+      }
+
+      // Unpersisted, the pass reads rows and caches nothing again.
+      df.unpersist(blocking = true)
+      val kept = stored
+      pass(batches = false, "unpersisted")
+      assert(stored == kept, "a pass cached its unpersisted input again")
+
+      df.cache()
+      pass(batches = true, "cached after an uncached pass")
+
+      // Unpersisted and cached again, at the same storage level: planned again.
+      val cached = plan
+      df.unpersist(blocking = true)
+      df.cache()
+      assert(plan ne cached, "a plan over an unpersisted cache was kept")
+      pass(batches = true, "cached again")
+    } finally {
+      before.fold(spark.conf.unset(vectorized))(spark.conf.set(vectorized, _))
+      df.unpersist()
+      ()
+    }
+  }
+
+  test("the kernel's plans do not keep a DataFrame alive") {
+    def passOverDropped(): WeakReference[DataFrame] = {
+      val df = input(1000L)
+      SampleAgg.run(df, col("block"), col("value"), "test", 5L, _ => 0.3)
+      new WeakReference(df)
+    }
+    val dropped = passOverDropped()
+    assert((1 to 50).exists { _ => System.gc(); Thread.sleep(20); dropped.get == null },
+      "a DataFrame was kept alive after its last pass")
+  }
 
   test("column batches and rows give the same samples and candidates") {
     def fields(s: BlockSample) = (s.rows, s.regions.toSeq, s.n, s.sd, s.min, s.finite)
