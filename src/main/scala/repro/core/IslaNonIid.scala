@@ -48,11 +48,14 @@ object IslaNonIid {
     * total variance: E[σⱼ²] + Var[sketch₀ⱼ]), with Var[sketch₀ⱼ] taken
     * around the weighted mean s̄, Σnⱼ(sⱼ − s̄)²/M: as E[sⱼ²] − s̄² it
     * cancels catastrophically, or goes negative, when s̄ is large against σ.
+    * On constant blocks the sketch₀ⱼ differ by rounding only, and so the
+    * pooled σ is 0 ([[SampleSize.sigma]]).
     */
   private def overallRate(pres: Seq[BlockPre], m: Long, p: IslaParams): (Double, Double) = {
     val mean = pres.map(pr => pr.size.toDouble * pr.sketch0).sum / m
-    val pooledSigma = math.sqrt(
-      pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + (pr.sketch0 - mean) * (pr.sketch0 - mean))).sum / m)
+    val pooledSigma = SampleSize.sigma(math.sqrt(
+      pres.map(pr => pr.size.toDouble * (pr.sigma * pr.sigma + (pr.sketch0 - mean) * (pr.sketch0 - mean))).sum / m),
+      mean, pres.map(_.pilotMin).min)
     (pooledSigma, p.rateOverride.getOrElse(SampleSize.rate(pooledSigma, p.e, p, m) * p.rateFraction))
   }
 

@@ -100,7 +100,7 @@ object PreEstimation {
     sizes.foreach(nonEmpty)
     val value = col(valueCol)
     val scan = SampleAgg.oneScan(df, block, value, s"$label σ pilot + sketch₀ + moments", seed, p.sigmaPilot,
-      pooled, sizes, sketchRate(p), momentRate, fusedCap.value)
+      pooled, sizes, SampleAgg.planned(df, block, value).cachedRows, sketchRate(p), momentRate, fusedCap.value)
     val blockSizes = nonEmpty(sizes.getOrElse(scan.sizes))
     val groups = if (pooled) Map(0L -> blockSizes.values.sum) else blockSizes
     val group: Long => Long = if (pooled) _ => 0L else identity
@@ -119,7 +119,7 @@ object PreEstimation {
     val pilot = resolve(scan.pilot, "σ pilot", 0, groupCol,
       at(groups.map { case (g, n) => g -> SampleSize.pilotRate(p.sigmaPilot, n) }))
     def pl(g: Long) = pilot.getOrElse(g, new BlockSample(1))
-    val sigma = groups.map { case (g, _) => g -> pl(g).sd }
+    val sigma = groups.map { case (g, _) => g -> SampleSize.sigma(pl(g).sd, pl(g).avg, pl(g).min) }
     val lowest = groups.keys.map(pl(_).min).min
     val shift = if (shifted && lowest <= 0) -lowest + math.max(sigma.values.max, 1.0) else 0.0
     val sketch = resolve(scan.sketch, "sketch₀", 1, groupCol,

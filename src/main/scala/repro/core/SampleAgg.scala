@@ -221,10 +221,12 @@ object SampleAgg {
   }
 
   /** What [[oneScan]] drew: rows per block, as [[Moments.blockSizes]]
-    * counts them, and each stream's candidates, partition by partition.
+    * counts them, each stream's candidates, partition by partition, and
+    * how many candidates the partitions accepted per stream (σ pilot,
+    * sketch₀, moments), trimmed ones included.
     */
   private[core] final case class Speculation(sizes: Map[Long, Long], pilot: Seq[Drawn], sketch: Seq[Drawn],
-                                             moments: Seq[Drawn])
+                                             moments: Seq[Drawn], accepted: Seq[Long])
 
   /** The σ pilot, sketch₀ and a moment pass in one scan, before any of
     * their rates is known. Every row draws from three generators, those of
@@ -239,8 +241,10 @@ object SampleAgg {
     *    its candidates below that rate, uncapped, and is folded at it at the
     *    partition's end, as [[run]] folds it;
     *  - sketch₀ below [[margin]] × `sketchRate` at the group's σ̂ (the
-    *    standard deviation of its pilot candidates) and size: its size in
-    *    `sizes`, else its rows seen times the partitions;
+    *    standard deviation of its pilot candidates, [[SampleSize.sigma]])
+    *    and size: its size in `sizes`; else, for the pooled group,
+    *    `inputRows` times the share of the partition's rows so far that
+    *    have a block id; else its rows seen times the partitions;
     *  - the moment pass, per block, below its `momentRate` if known, else
     *    below the margin × `momentRate` made of the partition's estimates
     *    of every group (size, σ̂, and the pilot mean in place of sketch₀).
@@ -254,24 +258,29 @@ object SampleAgg {
     * its bounds are 0. Each stream,
     * [[replay]]ed at its resolved rates, equals [[run]] over `lit(0L)`
     * (pooled) or `block` at its seed, unless a partition's bound fell
-    * below its group's rate.
+    * below its group's rate. A size guess only moves bounds: one too high
+    * (an `inputRows` that counts a recomputed cache partition twice) can
+    * leave a bound below its rate, and the stream then runs again.
     *
     * @param sizes      rows per block, if known
+    * @param inputRows  the input's rows, if known without a scan ([[Planned.cachedRows]]);
+    *                   read only by a pooled group without `sizes`
     * @param sketchRate sketch₀'s rate from σ̂ and a group's size
     * @param momentRate each block's moment rate, or its rates from the pre-estimates
     */
   private[core] def oneScan(df: DataFrame, block: Column, value: Column, label: String, seed: Long, k: Int,
-                            pooled: Boolean, sizes: Option[Map[Long, Long]], sketchRate: (Double, Long) => Double,
-                            momentRate: PreEstimation.MomentRate, cap: Double): Speculation = {
+                            pooled: Boolean, sizes: Option[Map[Long, Long]], inputRows: Option[Long],
+                            sketchRate: (Double, Long) => Double, momentRate: PreEstimation.MomentRate,
+                            cap: Double): Speculation = {
     val parts = job(df, block, value, label) { (part, n, batches) =>
       // Every row draws from each generator.
       val acc = new ScanPartition(generator(seed, part), generator(seed + 1, part), generator(seed + 2, part), k, n,
-        pooled, sizes, sketchRate, momentRate, (cap / n).toLong)
+        pooled, sizes, inputRows, sketchRate, momentRate, (cap / n).toLong)
       while (batches.hasNext) acc.add(batches.next())
       acc.result()
     }
     Speculation(count(parts.iterator.map(_.rows)), parts.toSeq.flatMap(_.pilot), parts.toSeq.flatMap(_.sketch),
-      parts.toSeq.flatMap(_.moments))
+      parts.toSeq.flatMap(_.moments), Seq.tabulate(3)(i => parts.iterator.map(_.accepted(i)).sum))
   }
 
   /** `rand(seed)`'s generator in partition `part`. */
@@ -338,6 +347,17 @@ object SampleAgg {
   private[core] final class Planned(val qe: QueryExecution, conf: Map[String, String], level: StorageLevel) {
     val columns: Option[Columns] = SampleAgg.columns(qe.executedPlan)
     private val caches = qe.executedPlan.collect { case s: InMemoryTableScanExec => s.relation.cacheBuilder }
+    /** The cached relation whose every row the plan reads: its one scan, under projections only. */
+    private val whole = Some(projected(qe.executedPlan)._2).collect { case s: InMemoryTableScanExec =>
+      s.relation.cacheBuilder }
+
+    /** The rows the plan reads, if it reads every row of one loaded cached
+      * relation: Spark's own row count of it, the `rowCount` statistic of
+      * `InMemoryRelation`. None for any other plan: uncached, not yet
+      * loaded, filtered, sampled, limited or a union. A partition computed
+      * again after loading (evicted, say) is counted again.
+      */
+    def cachedRows: Option[Long] = whole.filter(_.isCachedColumnBuffersLoaded).map(_.rowCountStats.sum)
 
     /** The scan's column batches; `executeColumnar` builds a new RDD each call. */
     lazy val batches: RDD[ColumnarBatch] = columns.get.scan.executeColumnar()
@@ -382,6 +402,22 @@ object SampleAgg {
   /** A scan that produces column batches, and where they hold the block id and the value. */
   private[core] final case class Columns(scan: SparkPlan, block: Input, value: Input)
 
+  /** A plan's output expressions and the node they are computed from: a
+    * projection's list and its child, else the plan's output and the plan,
+    * looking through code generation and columnar-to-row wrappers (the
+    * scan below them is read instead).
+    */
+  private def projected(plan: SparkPlan): (Seq[Expression], SparkPlan) = {
+    def unwrapped(p: SparkPlan): SparkPlan = p match {
+      case _: WholeStageCodegenExec | _: InputAdapter | _: ColumnarToRowExec => unwrapped(p.children.head)
+      case _ => p
+    }
+    unwrapped(plan) match {
+      case ProjectExec(list, child) => (list, unwrapped(child))
+      case p => (p.output, p)
+    }
+  }
+
   /** The column batches a [[planned]] pass reads, if its plan is a leaf
     * scan that produces them (a cached relation, a vectorized Parquet or
     * ORC file scan), alone or under a projection of that scan's int, long
@@ -392,15 +428,7 @@ object SampleAgg {
     * cannot produce, an adaptive plan (a shuffle below the cache).
     */
   private[core] def columns(plan: SparkPlan): Option[Columns] = {
-    // Code generation and columnar-to-row wrappers: the scan's batches are read instead.
-    def unwrapped(p: SparkPlan): SparkPlan = p match {
-      case _: WholeStageCodegenExec | _: InputAdapter | _: ColumnarToRowExec => unwrapped(p.children.head)
-      case _ => p
-    }
-    val (exprs, scan) = unwrapped(plan) match {
-      case ProjectExec(list, child) => (list, unwrapped(child))
-      case p => (p.output, p)
-    }
+    val (exprs, scan) = projected(plan)
     // The types whose cast to `to` a kernel read repeats exactly.
     def widens(from: DataType, to: DataType): Boolean =
       from == to || from == IntegerType || (from == LongType && to == DoubleType)
@@ -561,11 +589,13 @@ object SampleAgg {
   }
 
   /** One stream's candidates in one partition, all groups: once they
-    * number more than `limit` at a trim, the stream keeps none.
+    * number more than `limit` at a trim, the stream keeps none. `accepted`
+    * counts every candidate its buffers took, trimmed ones included.
     */
   private final class Stream(limit: Long) {
     val buffers = mutable.ArrayBuffer.empty[Candidates]
     var over = false
+    var accepted = 0L
     def check(): Unit = if (!over && buffers.iterator.map(_.size.toLong).sum > limit) over = true
   }
 
@@ -600,6 +630,7 @@ object SampleAgg {
       }
       if (u < bound) {
         us(size) = u; as(size) = a; size += 1
+        stream.accepted += 1
         if (grown != null && renewAt(size)) grown()
       }
     }
@@ -616,19 +647,21 @@ object SampleAgg {
       size = kept
     }
 
-    /** The number, mean and sample standard deviation of the values drawn
-      * below the bound, a uniform sample of the rows seen.
+    /** The number, mean and σ̂ ([[SampleSize.sigma]] of the sample
+      * standard deviation) of the values drawn below the bound, a uniform
+      * sample of the rows seen.
       */
     def stats(): (Int, Double, Double) = {
       val b = bound
       var n = 0
       var sum, m2 = 0.0
+      var lo = Double.PositiveInfinity
       var i = 0
-      while (i < size) { if (us(i) < b) { n += 1; sum += as(i) }; i += 1 }
+      while (i < size) { if (us(i) < b) { n += 1; sum += as(i); lo = math.min(lo, as(i)) }; i += 1 }
       val mean = sum / n
       i = 0
       while (i < size) { if (us(i) < b) m2 += (as(i) - mean) * (as(i) - mean); i += 1 }
-      (n, mean, math.sqrt(m2 / (n - 1)))
+      (n, mean, SampleSize.sigma(math.sqrt(m2 / (n - 1)), mean, lo))
     }
 
     /** The candidates at the partition's end, as group `group` of `rows` rows. */
@@ -659,18 +692,19 @@ object SampleAgg {
     def take3(u: Double, a: Double): Unit = { moments.offer(u, a); rate3 = moments.bound }
   }
 
-  /** A [[oneScan]] partition's result: its rows per block and each
-    * stream's candidates per group (none for a group without rows).
+  /** A [[oneScan]] partition's result: its rows per block, each stream's
+    * candidates per group (none for a group without rows), and the
+    * candidates each stream accepted (σ pilot, sketch₀, moments).
     */
   private final case class ScanPart(rows: Array[(Long, Long)], pilot: Array[Drawn], sketch: Array[Drawn],
-                                    moments: Array[Drawn])
+                                    moments: Array[Drawn], accepted: Array[Long])
 
   /** A [[oneScan]] partition, one of `parts`, drawing the σ pilot's,
     * sketch₀'s and the moment pass's streams from `rng`, `rng2` and `rng3`.
     */
   private final class ScanPartition(rng: java.util.Random, rng2: java.util.Random, rng3: java.util.Random, k: Int,
                                     parts: Int, pooled: Boolean, sizes: Option[Map[Long, Long]],
-                                    sketchRate: (Double, Long) => Double,
+                                    inputRows: Option[Long], sketchRate: (Double, Long) => Double,
                                     momentRate: PreEstimation.MomentRate, limit: Long) {
     private val slots = new Blocks(slot)
     private def blocks = slots.map
@@ -691,9 +725,14 @@ object SampleAgg {
       var count = 0
       var sigma, mean = Double.NaN
       private val known = if (pooled) sizes.map(_.values.sum) else sizes.flatMap(_.get(id))
+      private val input = if (pooled) inputRows else None
       private def seen: Long = if (pooled) counted else blocks(id).rows
-      /** The group's size, or, if the partitions are alike, its guess. */
-      def size: Long = known.getOrElse(seen * parts)
+      /** The group's size, or its guess: for the pooled group, `inputRows`
+        * times the share of this partition's rows so far that have a block
+        * id (all of them when none is null); else, if the partitions are
+        * alike, its rows seen times the partitions.
+        */
+      def size: Long = known.getOrElse(input.fold(seen * parts)(n => (n * (counted.toDouble / rows)).toLong))
       /** The group's rows here; a pooled group's include null block ids. */
       def rows: Long = if (pooled) unkeyed.rows + counted else seen
       def estimated: Boolean = count > 0 && finite(sigma) && finite(mean) && size > 0
@@ -733,8 +772,9 @@ object SampleAgg {
     /** The moment rates at the partition's estimates; null before any, or
       * if the rate fails on them. They are built again only after a group's
       * estimates are renewed, not at each block's trims: building them reads
-      * every group. A size guess (no `sizes`) may thus be one renewal old,
-      * smaller than the group's rows now, which only raises a bound.
+      * every group. A size guessed from rows seen (no `sizes`, no
+      * `inputRows`) may thus be one renewal old, smaller than the group's
+      * rows now, which only raises a bound.
       */
     private def momentRates(): Long => Double = built.getOrElse {
       val rates = momentRate.fold(_ => null, rate =>
@@ -795,7 +835,8 @@ object SampleAgg {
       lowerMoments()
       ScanPart(blocks.iterator.map { case (b, s) => b -> s.rows }.toArray, pilot,
         live.map(g => g.sketch.drawn(g.id, g.rows)),
-        blocks.iterator.map { case (b, s) => s.moments.drawn(b, s.rows) }.toArray)
+        blocks.iterator.map { case (b, s) => s.moments.drawn(b, s.rows) }.toArray,
+        Array(pilots.accepted + knownPilots.accepted, sketches.accepted, momentStream.accepted))
     }
   }
 }

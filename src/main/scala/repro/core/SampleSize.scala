@@ -34,6 +34,16 @@ object SampleSize {
   def rate(sigma: Double, e: Double, p: IslaParams, n: Long): Double =
     if (sigma <= 0) pilotRate(p.sigmaPilot, n) else samplingRate(sigma, e, p.beta, n)
 
+  /** A standard deviation `sd` of values with mean `mean` and minimum
+    * `min`, or 0 where it is rounding noise: at most 10⁻¹² of the larger of
+    * |mean| and |min|. The sums behind a standard deviation round, so
+    * constant data such as 3.7 leave one of about 10⁻¹⁶ instead of 0,
+    * which would make Eq. 1 ask for a single row; [[rate]] treats 0 as
+    * constant data.
+    */
+  def sigma(sd: Double, mean: Double, min: Double): Double =
+    if (sd <= 1e-12 * math.max(math.abs(mean), math.abs(min))) 0.0 else sd
+
   /** The σ pilot's rate in a group of `n` rows: min(1, k/n). */
   def pilotRate(k: Int, n: Long): Double = math.min(1.0, k.toDouble / n)
 }

@@ -9,6 +9,7 @@ import scala.jdk.CollectionConverters._
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
@@ -125,7 +126,7 @@ class SampleAggSpec extends SparkSpec {
     val k = 5 // candidates are trimmed whenever 16 are buffered
     def fields(s: BlockSample) = (s.rows, s.regions.toSeq, s.n, s.sd, s.min, s.avg)
     def scan(seed: Long, pooled: Boolean, sizes: Option[Map[Long, Long]], df: DataFrame) =
-      SampleAgg.oneScan(df, col("block"), col("value"), "test", seed, k, pooled, sizes, (_, _) => 1.0,
+      SampleAgg.oneScan(df, col("block"), col("value"), "test", seed, k, pooled, sizes, None, (_, _) => 1.0,
         Left(_ => 0.1), 4e6)
     for (contiguous <- Seq(false, true)) {
       val df = CountedInput(spark, contiguous).cache()
@@ -181,9 +182,12 @@ class SampleAggSpec extends SparkSpec {
       val df = CountedInput(spark, contiguous).cache()
       try {
         val sizes = Moments.blockSizes(df)
+        // The loaded cache's row count, which a pooled group without sizes reads.
+        val rows = SampleAgg.planned(df, col("block"), col("value")).cachedRows
+        assert(rows.contains(30000L))
         val clue = s"contiguous=$contiguous, pooled=$pooled, sizes given: $given, moment rate $moments"
         val scan = SampleAgg.oneScan(df, col("block"), col("value"), "test", 21L, k, pooled,
-          Option.when(given)(sizes), sketchRate, moments, 4e6)
+          Option.when(given)(sizes), rows, sketchRate, moments, 4e6)
         assert(scan.sizes == sizes, clue)
         val groups = if (pooled) Set(0L) else sizes.keySet
         assert(scan.pilot.size == (if (pooled) 8 else scan.moments.size), clue)
@@ -213,7 +217,7 @@ class SampleAggSpec extends SparkSpec {
         assert(SampleAgg.replay(scan.sketch, _ => scan.sketch.map(_.bound).max * 1.01).isEmpty, clue)
         // Over the cap, a stream keeps nothing and its bound is 0; a folded pilot keeps no candidates.
         val capped = SampleAgg.oneScan(df, col("block"), col("value"), "test", 21L, k, pooled,
-          Option.when(given)(sizes), sketchRate, moments, 0.0)
+          Option.when(given)(sizes), rows, sketchRate, moments, 0.0)
         val folded = !pooled && given
         for (d <- capped.pilot) assert(d.folded != null == folded && (folded || d.bound == 0.0 && d.us.isEmpty), clue)
         for (d <- capped.sketch ++ capped.moments) assert(d.bound == 0.0 && d.us.isEmpty, clue)
@@ -336,7 +340,7 @@ class SampleAggSpec extends SparkSpec {
           def run(b: Column, value: Column) = SampleAgg.run(df, b, value, "test", 31L, _ => 0.3, split, 17.5)
           assert(samples(run(block, col(v))) == samples(run(rowBlock, rowValue)), clue)
           def oneScan(b: Column, value: Column) =
-            SampleAgg.oneScan(df, b, value, "test", 32L, 600, pooled, None, sketchRate, Left(_ => 0.2), 4e6)
+            SampleAgg.oneScan(df, b, value, "test", 32L, 600, pooled, None, None, sketchRate, Left(_ => 0.2), 4e6)
           assert(scan(oneScan(col("block"), col(v))) == scan(oneScan(col("block") * 2 - col("block"), rowValue)), clue)
         }
       }
@@ -644,5 +648,145 @@ class SampleAggSpec extends SparkSpec {
           s"sizes given: ${given.isDefined}; task results: $sent bytes, bound ${b.toLong}")
       }
     } finally { df.unpersist(); () }
+  }
+
+  /** [[SampleAgg.oneScan]] with the rates `Isla.run` passes it, at `p`. */
+  private def islaScan(df: DataFrame, p: IslaParams, seed: Long, sizes: Option[Map[Long, Long]],
+                       inputRows: Option[Long]): SampleAgg.Speculation =
+    SampleAgg.oneScan(df, col("block"), col("value"), "test", seed, p.sigmaPilot, pooled = true, sizes, inputRows,
+      (sigma, n) => SampleSize.rate(sigma, p.te * p.e, p, n),
+      Right(pres => _ => SampleSize.rate(pres.head.sigma, p.e, p, pres.head.size) * p.rateFraction),
+      PreEstimation.fusedCap.value)
+
+  test("a pass knows the row count of a loaded cache it reads in full, and of no other input") {
+    def rows(df: DataFrame, block: Column = col("block")) = SampleAgg.planned(df, block, col("value")).cachedRows
+    assert(rows(input(30000L)).isEmpty, "uncached range")
+    val df = input(30000L).cache()
+    try {
+      assert(rows(df).isEmpty, "cached, not yet loaded")
+      SampleAgg.run(df, col("block"), col("value"), "test", 5L, _ => 0.1) // loads the cache
+      assert(rows(df).contains(30000L), "loaded")
+      assert(rows(df, lit(0L)).contains(30000L), "pooled")
+      assert(rows(df, col("block") * 2 - col("block")).contains(30000L), "a computed block id")
+      for ((name, part) <- Seq("filtered" -> df.filter(col("block") > 2), "sampled" -> df.sample(0.5, 3L),
+                               "limited" -> df.limit(100), "a union" -> df.union(df)))
+        assert(rows(part).isEmpty, name)
+      df.unpersist(blocking = true)
+      assert(rows(df).isEmpty, "unpersisted")
+    } finally { df.unpersist(); () }
+  }
+
+  test("Isla.run without sizes keeps as few candidates as with them, on a loaded cache") {
+    // Fixed before the first run, from DESIGN §5 and the input of "Isla.run
+    // without sizes sends about c·m candidates": M = 4·10⁵ rows in P = 4
+    // partitions, m = 24 586 moment and m₀ = 2 732 sketch₀ samples (r =
+    // m/M = 0.061). With sizes a partition's moment bound is 1 for its
+    // first 64 rows (no σ̂ yet), then c(n)·r with c(64) = 15.8, c(128) =
+    // 2.96, c(256) = 1.9 and c = 1.5 from 512 pilot values, which come
+    // from the first 512 rows: at most 512 offers there, then c·m/P. So
+    // c·m + 512·P moment offers, and c·m₀ + 128·P sketch₀ offers (its
+    // rate is 9 times smaller), with 10% for the partitions' σ̂. Without
+    // sizes and without the cache's row count, a partition guesses M as P
+    // × its rows seen and keeps about c·m/P·(1 + ln(P·M/(c·m))) ≈ 3·c·m/P.
+    val momentBound = 1.1 * (1.5 * 24586 + 512 * 4)
+    val sketchBound = 1.1 * (1.5 * 2732 + 128 * 4)
+    val df = spark.range(0, 400000, 1, 4)
+      .select((col("id") % 10).as("block"), (lit(100.0) + randn(71) * 20).as("value")).cache()
+    try {
+      df.count()
+      val p = IslaParams(e = 0.25)
+      val rows = SampleAgg.planned(df, col("block"), col("value")).cachedRows
+      assert(rows.contains(400000L))
+      val sizes = Moments.blockSizes(df)
+      def offers(sizes: Option[Map[Long, Long]], rows: Option[Long]) = islaScan(df, p, 73L, sizes, rows).accepted
+      val Seq(_, sketch, moments) = offers(None, rows)
+      val Seq(_, sketchGiven, momentsGiven) = offers(Some(sizes), None)
+      assert(moments < momentBound && sketch < sketchBound, s"sketch₀ $sketch, moments $moments offers")
+      assert(momentsGiven < momentBound && sketchGiven < sketchBound,
+        s"sizes given: sketch₀ $sketchGiven, moments $momentsGiven offers")
+      // Guessed from the rows seen, the bounds keep far more.
+      val Seq(_, sketchSeen, momentsSeen) = offers(None, None)
+      assert(momentsSeen > 2 * momentBound && sketchSeen > 2 * sketchBound,
+        s"sizes guessed: sketch₀ $sketchSeen, moments $momentsSeen offers")
+    } finally { df.unpersist(); () }
+  }
+
+  test("a cached input with null block ids sizes a pooled scan as its block sizes do") {
+    // About 1% of CountedInput's block ids are null: the cache's row count
+    // includes them, Eq. 1's M does not.
+    val df = CountedInput(spark, contiguous = false).cache()
+    try {
+      df.count()
+      val sizes = Moments.blockSizes(df)
+      val p = IslaParams(e = 1.0)
+      val rows = SampleAgg.planned(df, col("block"), col("value")).cachedRows
+      assert(rows.contains(30000L) && sizes.values.sum < 30000L)
+      for (seed <- Seq(41L, 42L, 43L)) {
+        var without, given: IslaResult = null
+        val (jobs, _) = logJobs { without = Isla.run(df, "value", p, seed = seed) }
+        assert(jobs == Seq("ISLA σ pilot + sketch₀ + moments"), s"seed $seed")
+        given = Isla.run(df, "value", p, Some(sizes), seed = seed)
+        assert(without == given, s"seed $seed")
+        // The bounds are those known sizes give, up to the partitions' shares
+        // of null block ids; the unscaled count, 1% high, keeps 0.8% fewer.
+        val Seq(_, sketch, moments) = islaScan(df, p, seed, None, rows).accepted
+        val Seq(_, sketchGiven, momentsGiven) = islaScan(df, p, seed, Some(sizes), None).accepted
+        assert(math.abs(moments - momentsGiven) <= 0.002 * momentsGiven + 2, s"seed $seed: $moments, $momentsGiven")
+        assert(math.abs(sketch - sketchGiven) <= 0.002 * sketchGiven + 2, s"seed $seed: $sketch, $sketchGiven")
+      }
+    } finally { df.unpersist(); () }
+  }
+
+  test("an overstated row count only makes a scan's streams run again, with the same answer") {
+    val m = 60000L
+    val df = input(m).cache()
+    try {
+      df.count()
+      val p = IslaParams(e = 1.0)
+      val expected = Isla.run(df, "value", p, seed = 91)
+      // Ten times the rows lowers sketch₀'s and the moment bounds below their rates.
+      val scan = islaScan(df, p, 91L, None, Some(10 * m))
+      val pilot = SampleAgg.replay(scan.pilot, _ => SampleSize.pilotRate(p.sigmaPilot, m)).get(0L)
+      val sigma = SampleSize.sigma(pilot.sd, pilot.avg, pilot.min)
+      assert(sigma == expected.sigma)
+      assert(SampleAgg.replay(scan.sketch, _ => SampleSize.rate(sigma, p.te * p.e, p, m)).isEmpty)
+      assert(SampleAgg.replay(scan.moments, _ => expected.rate).isEmpty)
+
+      // A count Spark itself overstates: the cache's blocks are dropped
+      // behind its back, so every pass computes them, and counts them, again.
+      SampleAgg.planned(df, col("block"), col("value")).qe.executedPlan
+        .collectFirst { case s: InMemoryTableScanExec => s.relation.cacheBuilder }.get
+        .cachedColumnBuffers.unpersist(blocking = true)
+      SampleAgg.run(df, col("block"), col("value"), "test", 5L, _ => 0.1)
+      val counted = SampleAgg.planned(df, col("block"), col("value")).cachedRows
+      assert(counted.exists(_ >= 2 * m), s"count $counted")
+      var got: IslaResult = null
+      val (jobs, _) = logJobs { got = Isla.run(df, "value", p, seed = 91) }
+      assert(jobs == Seq("ISLA σ pilot + sketch₀ + moments", "ISLA sketch₀", "ISLA moments"))
+      assert(got == expected)
+    } finally { df.unpersist(); () }
+  }
+
+  test("constant data give σ 0 and the pilot's rate, also where rounding leaves σ̂ above 0") {
+    // 5 blocks, 10 007 rows, e = 1, seed 43: the pilots' sums round for 3.7
+    // and 0.1, which left σ̂ near 10⁻¹⁶ and a rate of one row, but not for 42.0.
+    val (m, p) = (10007L, IslaParams(e = 1.0))
+    for (c <- Seq(3.7, 0.1, 42.0)) {
+      val df = spark.range(0, m, 1, 4).select((col("id") % 5).as("block"), lit(c).as("value")).cache()
+      try {
+        df.count()
+        val sizes = Moments.blockSizes(df)
+        val calls = Seq[(String, Option[Map[Long, Long]] => IslaResult)](
+          ("ISLA", Isla.run(df, "value", p, _, seed = 43)), (nonIid, IslaNonIid.run(df, "value", p, _, seed = 43)))
+        for ((name, call) <- calls; given <- Seq(None, Some(sizes))) {
+          val clue = s"$name on $c, sizes given: ${given.nonEmpty}"
+          var r: IslaResult = null
+          val (jobs, _) = logJobs { r = call(given) }
+          assert(jobs == Seq(s"$name σ pilot + sketch₀ + moments"), clue)
+          assert(r.sigma == 0.0 && r.rate == SampleSize.pilotRate(p.sigmaPilot, m), s"$clue: $r")
+          assert(math.abs(r.answer - c) <= 1e-13 * c, s"$clue: $r")
+        }
+      } finally { df.unpersist(); () }
+    }
   }
 }
